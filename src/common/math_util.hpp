@@ -20,6 +20,18 @@ template <typename T>
   return v < lo ? lo : (v > hi ? hi : v);
 }
 
+/// splitmix64 finalizer: spreads keys that concentrate their entropy in a
+/// few low bytes (packed bin tuples) over all 64 bits, for the
+/// open-addressing tables of the populate kernels.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
 /// The contiguous [begin, end) range of items owned by `rank` when `total`
 /// items are block-partitioned across `p` ranks as evenly as possible
 /// (first `total % p` ranks get one extra item).

@@ -15,6 +15,7 @@
 #include "mp/comm.hpp"
 #include "taskpart/taskpart.hpp"
 #include "units/populate.hpp"
+#include "units/transaction_table.hpp"
 
 namespace mafia {
 
@@ -122,8 +123,13 @@ class MafiaWorker {
     // Globalize the per-rank trace: cross-rank phase maxima on every rank,
     // the full per-rank breakdown on the parent.  Every collective before
     // this point sits inside a phase scope, so the per-phase comm deltas
-    // sum exactly to the totals snapshotted here.
-    run_trace_ = exchange_trace(tracer_, comm_);
+    // sum exactly to the totals snapshotted here.  The populate ledger
+    // rides along: each rank chose its row source alone, so only the
+    // parent's view over all ranks says what the job swept.
+    const std::vector<std::uint64_t> ledger = populate_ledger();
+    std::vector<std::uint64_t> all_ledgers;
+    run_trace_ = exchange_trace(tracer_, comm_, ledger, &all_ledgers);
+    if (comm_.is_parent()) apply_populate_ledgers(all_ledgers, ledger.size());
   }
 
   // Outputs (read after run()).
@@ -400,6 +406,8 @@ class MafiaWorker {
 
     UnitStore cdus(1);
     UnitStore prev_dense(1);
+    // This rank's transaction table, once built (see build_table).
+    std::optional<TransactionTable> table;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
     std::vector<std::uint32_t> raw_to_unique;
     std::size_t pending_raw_count = 0;
@@ -465,16 +473,35 @@ class MafiaWorker {
                    populator.auxiliary_bytes(ceil_div(
                        static_cast<std::size_t>(n),
                        static_cast<std::size_t>(p))));
+      std::uint8_t populate_source = kPopulateSourceRecords;
+      std::size_t populate_rows = 0;
       {
         PhaseTracer::Scope sp(tracer_, "populate");
         if (base != nullptr) {
           scan_batch("populate", [&](const Value* rows, std::size_t nrows) {
             populator.accumulate(rows, nrows);
           });
+          populate_rows = my_batch_.size();
         } else {
-          scan_local("populate", [&](const Value* rows, std::size_t nrows) {
-            populator.accumulate(rows, nrows);
-          });
+          // The first level >= 2 that needs the full partition builds the
+          // table from its own CDUs; it and every later level sweep it.
+          // The bitmap kernel's index is over record ids, so it streams.
+          if (level >= 2 && !table_attempted_ &&
+              opt_.populate.kernel != PopulateKernel::Bitmap) {
+            table = build_table(cdus, level);
+          }
+          if (table) {
+            require(table->covers(cdus),
+                    "level loop: CDUs use items outside the transaction table");
+            populator.accumulate(*table);
+            populate_source = kPopulateSourceTable;
+            populate_rows = table->rows();
+          } else {
+            scan_local("populate", [&](const Value* rows, std::size_t nrows) {
+              populator.accumulate(rows, nrows);
+            });
+            populate_rows = my_records_.size();
+          }
         }
         comm_.allreduce_sum(populator.counts());
         // Seed AFTER the allreduce: the stored counts are already global,
@@ -545,6 +572,8 @@ class MafiaWorker {
         }
         t.bitmap_bytes = populator.kernel_stats().bitmap_bytes;
         t.bitmap_words_anded = populator.kernel_stats().bitmap_words_anded;
+        t.populate_source = populate_source;  // rank-local until the ledger
+        t.populate_rows = populate_rows;      // exchange at the end of run()
         trace_.push_back(std::move(t));
       }
       if (pending_join_kernel != 0) {
@@ -796,6 +825,73 @@ class MafiaWorker {
     }
   }
 
+  // ---------------------------------------------------- transaction table
+
+  /// One extra pass over this rank's partition that merges its records
+  /// into a transaction table keyed on the items `cdus` use.  The table is
+  /// capped at transaction_table_cap(); past it the rank abandons the table
+  /// and streams records for the rest of the run.  The decision is
+  /// rank-local and needs no collective: the counts are exact either way.
+  /// Timed inside the caller's populate scope.
+  std::optional<TransactionTable> build_table(const UnitStore& cdus,
+                                              std::size_t level) {
+    table_attempted_ = true;
+    TransactionTable t(grids_, cdus,
+                       transaction_table_cap(my_records_.size(),
+                                             data_.num_dims(),
+                                             opt_.max_cdu_bytes));
+    scan_local("populate", [&](const Value* rows, std::size_t nrows) {
+      t.accumulate(rows, nrows);
+    });
+    t.finish();
+    table_stats_.table_built_level = level;
+    table_stats_.table_rows_max = t.peak_rows();
+    table_stats_.table_bytes_max = t.peak_bytes();
+    table_stats_.table_fallback_ranks = t.abandoned() ? 1 : 0;
+    if (t.abandoned()) return std::nullopt;
+    return t;
+  }
+
+  /// This rank's populate ledger for the end-of-run exchange: its table
+  /// stats, then (source, rows swept) per level.  Same length on every
+  /// rank, since the level count is replicated.
+  [[nodiscard]] std::vector<std::uint64_t> populate_ledger() const {
+    std::vector<std::uint64_t> w{table_stats_.table_built_level,
+                                 table_stats_.table_rows_max,
+                                 table_stats_.table_bytes_max,
+                                 table_stats_.table_fallback_ranks};
+    for (const LevelTrace& t : trace_) {
+      w.push_back(t.populate_source);
+      w.push_back(t.populate_rows);
+    }
+    return w;
+  }
+
+  /// Parent only: folds every rank's ledger (rank-major, `width` words
+  /// each) into the run's populate stats and level trace.
+  void apply_populate_ledgers(const std::vector<std::uint64_t>& all,
+                              std::size_t width) {
+    for (std::size_t i = 0; i < trace_.size(); ++i) {
+      trace_[i].populate_source = kPopulateSourceTable;
+      trace_[i].populate_rows = 0;
+    }
+    for (std::size_t at = 0; at + width <= all.size(); at += width) {
+      PopulateKernelStats rank;
+      rank.table_built_level = static_cast<std::size_t>(all[at]);
+      rank.table_rows_max = static_cast<std::size_t>(all[at + 1]);
+      rank.table_bytes_max = static_cast<std::size_t>(all[at + 2]);
+      rank.table_fallback_ranks = static_cast<std::size_t>(all[at + 3]);
+      populate_stats_.merge(rank);
+      for (std::size_t i = 0; i < trace_.size(); ++i) {
+        LevelTrace& t = trace_[i];
+        if (all[at + 4 + 2 * i] != kPopulateSourceTable) {
+          t.populate_source = kPopulateSourceRecords;
+        }
+        t.populate_rows += all[at + 5 + 2 * i];
+      }
+    }
+  }
+
   // ----------------------------------------------------- checkpoint/resume
 
   /// Collective resume decision.  Rank 0 scans the checkpoint directory for
@@ -963,6 +1059,11 @@ class MafiaWorker {
   std::optional<PipelinedSource> pipelined_;
   BlockRange my_records_;
   std::uint64_t fingerprint_ = 0;
+
+  // Transaction-table bookkeeping: whether this rank has tried to build its
+  // table (once per run), and its table_* stats for the ledger.
+  bool table_attempted_ = false;
+  PopulateKernelStats table_stats_;
 
   // Append-base sections recorded for the final checkpoint (checkpointed
   // runs only): attribute domains, the global fine histogram, and the

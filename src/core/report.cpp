@@ -103,6 +103,22 @@ std::string render_report(const MafiaResult& result) {
        << " words ANDed";
   }
   os << "\n";
+  // Row source and rows swept (over all ranks) per level, then the
+  // transaction-table ledger.
+  os << "populate rows:";
+  for (std::size_t i = 0; i < result.levels.size(); ++i) {
+    const LevelTrace& t = result.levels[i];
+    os << (i == 0 ? " k" : ", k") << t.level << " "
+       << populate_source_name(t.populate_source) << " " << t.populate_rows;
+  }
+  const PopulateKernelStats& pk = result.populate_kernel;
+  if (pk.table_built_level > 0) {
+    os << "; tables keyed at level " << pk.table_built_level << ", max "
+       << pk.table_rows_max << " rows / " << pk.table_bytes_max
+       << " bytes per rank, " << pk.table_fallback_ranks << " of "
+       << result.num_ranks << " rank(s) fell back to records";
+  }
+  os << "\n";
 
   os << "join kernel (levels over the run): bucketed "
      << result.join_kernel.bucketed_levels << ", pairwise "
@@ -227,6 +243,8 @@ std::string render_report_json(const MafiaResult& result,
     w.key("populate_kernel").value(populate_kernel_name(t.populate_kernel));
     w.key("bitmap_bytes").value(t.bitmap_bytes);
     w.key("bitmap_words_anded").value(t.bitmap_words_anded);
+    w.key("populate_source").value(populate_source_name(t.populate_source));
+    w.key("populate_rows").value(t.populate_rows);
     // gpumafia's find_unjoined_dus: the level's dense units no join could
     // combine (count exact; the list capped at kMaxUnjoinedListed).
     w.key("unjoined_dus").value(t.unjoined_dus);
@@ -248,6 +266,10 @@ std::string render_report_json(const MafiaResult& result,
   w.key("block_records").value(result.populate_kernel.block_records);
   w.key("bitmap_bytes").value(result.populate_kernel.bitmap_bytes);
   w.key("bitmap_words_anded").value(result.populate_kernel.bitmap_words_anded);
+  w.key("table_rows_max").value(result.populate_kernel.table_rows_max);
+  w.key("table_bytes_max").value(result.populate_kernel.table_bytes_max);
+  w.key("table_built_level").value(result.populate_kernel.table_built_level);
+  w.key("table_fallback_ranks").value(result.populate_kernel.table_fallback_ranks);
   w.end_object();
 
   // Run total of the per-level unjoined-DU counts (additive in

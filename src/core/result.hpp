@@ -39,6 +39,15 @@ inline constexpr std::uint8_t kPopulateKernelBitmap = 2;
   }
 }
 
+/// Per-level populate row sources recorded in LevelTrace::populate_source.
+inline constexpr std::uint8_t kPopulateSourceRecords = 0;
+inline constexpr std::uint8_t kPopulateSourceTable = 1;
+
+/// Report name of a LevelTrace::populate_source id.
+[[nodiscard]] inline const char* populate_source_name(std::uint8_t id) {
+  return id == kPopulateSourceTable ? "table" : "records";
+}
+
 /// One level of the bottom-up search.
 struct LevelTrace {
   std::size_t level = 0;     ///< k (unit dimensionality)
@@ -65,6 +74,13 @@ struct LevelTrace {
   /// populate (zero unless the bitmap kernel ran).
   std::uint64_t bitmap_bytes = 0;
   std::uint64_t bitmap_words_anded = 0;
+  /// What the level's populate swept, summed over ranks at the end of the
+  /// run: kPopulateSourceTable when every rank swept its transaction table,
+  /// kPopulateSourceRecords when any rank streamed records; populate_rows
+  /// is the rows swept (records, or distinct table rows).  A level restored
+  /// from a checkpoint was not swept by this run: records, 0 rows.
+  std::uint8_t populate_source = kPopulateSourceRecords;
+  std::uint64_t populate_rows = 0;
   /// gpumafia's find_unjoined_dus, per level: dense units of this level
   /// that combined into no candidate of the next level (globalized — a
   /// unit counts only if no rank's join range paired it).  On the run's

@@ -6,7 +6,7 @@ namespace mafia {
 
 namespace {
 
-constexpr std::uint32_t kWorkerResultVersion = 2;  // v2: AppendStats tail
+constexpr std::uint32_t kWorkerResultVersion = 3;  // v3: populate ledger
 
 }  // namespace
 
@@ -170,6 +170,12 @@ std::vector<std::uint8_t> serialize_worker_result(const WorkerResult& wr) {
   write_grids(w, wr.grids);
   w.pod(static_cast<std::uint64_t>(wr.levels.size()));
   for (const LevelTrace& t : wr.levels) write_level_trace(w, t);
+  // The populate ledger fields stay out of write_level_trace: they are
+  // globalized only at the end of a run, so checkpoints never carry them.
+  for (const LevelTrace& t : wr.levels) {
+    w.pod(t.populate_source);
+    w.pod(t.populate_rows);
+  }
   w.pod(static_cast<std::uint64_t>(wr.registered.size()));
   for (const UnitStore& store : wr.registered) write_store(w, store);
   w.pod(static_cast<std::uint64_t>(wr.trace.per_rank.size()));
@@ -188,6 +194,10 @@ std::vector<std::uint8_t> serialize_worker_result(const WorkerResult& wr) {
   w.pod(static_cast<std::uint64_t>(wr.populate.block_records));
   w.pod(static_cast<std::uint64_t>(wr.populate.bitmap_bytes));
   w.pod(static_cast<std::uint64_t>(wr.populate.bitmap_words_anded));
+  w.pod(static_cast<std::uint64_t>(wr.populate.table_rows_max));
+  w.pod(static_cast<std::uint64_t>(wr.populate.table_bytes_max));
+  w.pod(static_cast<std::uint64_t>(wr.populate.table_built_level));
+  w.pod(static_cast<std::uint64_t>(wr.populate.table_fallback_ranks));
   w.pod(wr.join_kernel.bucketed_levels);
   w.pod(wr.join_kernel.pairwise_levels);
   w.pod(wr.join_kernel.buckets);
@@ -221,6 +231,10 @@ WorkerResult deserialize_worker_result(const std::uint8_t* data,
     wr.levels.reserve(static_cast<std::size_t>(nlevels));
     for (std::uint64_t i = 0; i < nlevels; ++i) {
       wr.levels.push_back(read_level_trace(r));
+    }
+    for (LevelTrace& t : wr.levels) {
+      t.populate_source = r.pod<std::uint8_t>();
+      t.populate_rows = r.pod<std::uint64_t>();
     }
     const auto nregistered = r.pod<std::uint64_t>();
     require_input(nregistered <= 1u << 16,
@@ -262,6 +276,14 @@ WorkerResult deserialize_worker_result(const std::uint8_t* data,
     wr.populate.bitmap_bytes =
         static_cast<std::size_t>(r.pod<std::uint64_t>());
     wr.populate.bitmap_words_anded =
+        static_cast<std::size_t>(r.pod<std::uint64_t>());
+    wr.populate.table_rows_max =
+        static_cast<std::size_t>(r.pod<std::uint64_t>());
+    wr.populate.table_bytes_max =
+        static_cast<std::size_t>(r.pod<std::uint64_t>());
+    wr.populate.table_built_level =
+        static_cast<std::size_t>(r.pod<std::uint64_t>());
+    wr.populate.table_fallback_ranks =
         static_cast<std::size_t>(r.pod<std::uint64_t>());
     wr.join_kernel.bucketed_levels = r.pod<std::uint64_t>();
     wr.join_kernel.pairwise_levels = r.pod<std::uint64_t>();

@@ -88,7 +88,9 @@ mp::CommStats RunTrace::comm_total() const {
   return total;
 }
 
-RunTrace exchange_trace(const PhaseTracer& tracer, mp::Comm& comm) {
+RunTrace exchange_trace(const PhaseTracer& tracer, mp::Comm& comm,
+                        std::span<const std::uint64_t> annotations,
+                        std::vector<std::uint64_t>* gathered) {
   // Per-phase serialization: the CommStats words followed by the
   // IoScanStats words, one fixed-width block per phase.
   constexpr std::size_t kCommWords = mp::CommStats::kSerializedWords;
@@ -111,6 +113,7 @@ RunTrace exchange_trace(const PhaseTracer& tracer, mp::Comm& comm) {
     const auto io_packed = ps.io.serialize();
     words.insert(words.end(), io_packed.begin(), io_packed.end());
   }
+  words.insert(words.end(), annotations.begin(), annotations.end());
 
   // Every rank learns the cross-rank per-phase maxima (the slowest rank
   // bounds the job); the full breakdown is gathered onto the parent.
@@ -132,7 +135,9 @@ RunTrace exchange_trace(const PhaseTracer& tracer, mp::Comm& comm) {
 
   const auto p = static_cast<std::size_t>(comm.size());
   const std::size_t np = tracer.phases().size();
-  require(all_seconds.size() == p * np && all_words.size() == p * np * kWords &&
+  const std::size_t rank_words = np * kWords + annotations.size();
+  require(all_seconds.size() == p * np &&
+              all_words.size() == p * rank_words &&
               all_totals.size() == p * kCommWords,
           "exchange_trace: ranks disagree on the phase structure");
 
@@ -144,7 +149,8 @@ RunTrace exchange_trace(const PhaseTracer& tracer, mp::Comm& comm) {
     for (const auto& [name, ps] : tracer.phases()) {
       PhaseStats rs;
       rs.seconds = all_seconds[r * np + k];
-      const std::uint64_t* block = all_words.data() + (r * np + k) * kWords;
+      const std::uint64_t* block =
+          all_words.data() + r * rank_words + k * kWords;
       rs.comm = mp::CommStats::deserialize(block);
       rs.io = IoScanStats::deserialize(block + kCommWords);
       phases.emplace(name, rs);
@@ -152,6 +158,10 @@ RunTrace exchange_trace(const PhaseTracer& tracer, mp::Comm& comm) {
     }
     trace.rank_totals[r] =
         mp::CommStats::deserialize(all_totals.data() + r * kCommWords);
+    if (gathered != nullptr) {
+      const auto* own = all_words.data() + r * rank_words + np * kWords;
+      gathered->insert(gathered->end(), own, own + annotations.size());
+    }
   }
   return trace;
 }

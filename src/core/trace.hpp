@@ -13,7 +13,9 @@
 // rendered by render_report / render_report_json.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -151,6 +153,13 @@ struct RunTrace {
 /// branch depends on globally replicated state); the collectives' length
 /// checks enforce it.  The exchange's own collectives are deliberately not
 /// attributed to any phase and excluded from the trace's totals.
-[[nodiscard]] RunTrace exchange_trace(const PhaseTracer& tracer, mp::Comm& comm);
+///
+/// `annotations` are caller-defined words (the same count on every rank)
+/// that ride the phase-record gather, so they cost no extra collective; on
+/// the parent, `*gathered` receives every rank's words, rank-major.
+[[nodiscard]] RunTrace exchange_trace(
+    const PhaseTracer& tracer, mp::Comm& comm,
+    std::span<const std::uint64_t> annotations = {},
+    std::vector<std::uint64_t>* gathered = nullptr);
 
 }  // namespace mafia

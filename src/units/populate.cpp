@@ -8,6 +8,9 @@
 #include <numeric>
 #include <type_traits>
 
+#include "common/math_util.hpp"
+#include "units/transaction_table.hpp"
+
 #if defined(__x86_64__) && !defined(PMAFIA_DISABLE_SIMD)
 #include <immintrin.h>
 #elif defined(__aarch64__) && !defined(PMAFIA_DISABLE_SIMD)
@@ -41,17 +44,6 @@ constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
 /// "(dim, bin) used by no CDU" sentinel of the bitmap kernel's bin map.
 constexpr std::uint32_t kNoBitmap = 0xffffffffu;
-
-/// splitmix64 finalizer: spreads packed keys (which concentrate entropy in
-/// the low bytes for small k) over the whole table.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
 
 /// Branchless lower bound over a sorted uint64 array: the comparison feeds
 /// a conditional add instead of a branch, so the search pipeline never
@@ -249,21 +241,24 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
   }
   if (bitmap_) {
     bitmaps_.resize(num_bitmaps);
-    stats_.bitmap_bytes = auxiliary_bytes(0);
+    stats_.bitmap_bytes = bitmap_index_bytes(0);
   }
 }
 
+std::size_t UnitPopulator::bitmap_index_bytes(std::size_t nrows) const {
+  const std::size_t words = (nrows + 63) / 64;
+  return bitmaps_.size() * words * sizeof(std::uint64_t) +
+         bin_map_.size() * sizeof(std::uint32_t);
+}
+
 std::size_t UnitPopulator::auxiliary_bytes(std::size_t nrows) const {
-  if (bitmap_) {
-    const std::size_t words = (nrows + 63) / 64;
-    return bitmaps_.size() * words * sizeof(std::uint64_t) +
-           bin_map_.size() * sizeof(std::uint32_t);
-  }
-  std::size_t bytes = 0;
+  std::size_t bytes = bitmap_ ? bitmap_index_bytes(nrows) : 0;
   for (const Subspace& sub : subspaces_) {
-    bytes += sub.keys.size() * sizeof(std::uint64_t) +
+    bytes += sub.cdu_index.size() * sizeof(std::uint32_t) +
+             sub.keys.size() * sizeof(std::uint64_t) +
              sub.slots.size() * sizeof(std::uint32_t) +
-             sub.sorted_bins.size() * sizeof(BinId);
+             sub.sorted_bins.size() * sizeof(BinId) +
+             sub.bitmap_ids.size() * sizeof(std::uint32_t);
   }
   return bytes;
 }
@@ -277,10 +272,8 @@ void UnitPopulator::accumulate(const Value* rows, std::size_t nrows) {
     // zero, which the incremental finalization relies on).
     const std::size_t words = (nrows_seen_ + nrows + 63) / 64;
     for (auto& bm : bitmaps_) bm.resize(words, 0);
-    const std::size_t footprint =
-        bitmaps_.size() * words * sizeof(std::uint64_t) +
-        bin_map_.size() * sizeof(std::uint32_t);
-    if (footprint > stats_.bitmap_bytes) stats_.bitmap_bytes = footprint;
+    stats_.bitmap_bytes =
+        std::max(stats_.bitmap_bytes, bitmap_index_bytes(nrows_seen_ + nrows));
   }
 
   for (std::size_t base = 0; base < nrows; base += block) {
@@ -314,20 +307,36 @@ void UnitPopulator::accumulate(const Value* rows, std::size_t nrows) {
       }
       continue;
     }
-
-    // Subspace-major sweep: each subspace's lookup structure stays hot
-    // across the whole block.
-    for (const Subspace& sub : subspaces_) {
-      if (!packed_) {
-        sweep_memcmp(sub, bn);
-      } else if (!sub.slots.empty()) {
-        sweep_packed_hash(sub, bn);
-      } else {
-        sweep_packed_sorted(sub, bn);
-      }
-    }
+    sweep({col_bins_.data(), block, bn, nullptr});
   }
   if (bitmap_) nrows_seen_ += nrows;
+}
+
+void UnitPopulator::accumulate(const TransactionTable& table) {
+  require(!bitmap_, "UnitPopulator: the bitmap kernel counts records, not a "
+                    "transaction table");
+  const std::size_t n = table.rows();
+  const std::size_t block = cfg_.block_records;
+  // Same block walk as the record path, so the k columns a subspace reads
+  // stay cache-resident across all subspaces of the block.
+  for (std::size_t base = 0; base < n; base += block) {
+    sweep({table.columns() + base, n, std::min(block, n - base),
+           table.weights() + base});
+  }
+}
+
+void UnitPopulator::sweep(const ColumnBlock& b) {
+  // Subspace-major: each subspace's lookup structure stays hot across the
+  // whole block.
+  for (const Subspace& sub : subspaces_) {
+    if (!packed_) {
+      sweep_memcmp(sub, b);
+    } else if (!sub.slots.empty()) {
+      sweep_packed_hash(sub, b);
+    } else {
+      sweep_packed_sorted(sub, b);
+    }
+  }
 }
 
 void UnitPopulator::seed_counts(std::span<const Count> base) {
@@ -379,39 +388,47 @@ void UnitPopulator::finalize_bitmap_counts() const {
   done_rows_ = nrows_seen_;
 }
 
-void UnitPopulator::sweep_packed_sorted(const Subspace& sub, std::size_t bn) {
-  const std::size_t block = cfg_.block_records;
+// The sweeps copy the block's fields into locals: stride and rows share
+// Count's type, so reading them through `b` would make the compiler reload
+// them after every count increment.
+
+void UnitPopulator::sweep_packed_sorted(const Subspace& sub,
+                                        const ColumnBlock& b) {
+  const auto [cols, stride, n, weights] = b;
   const DimId* dims = sub.dims.data();
   const std::uint64_t* keys = sub.keys.data();
   const std::size_t m = sub.keys.size();
-  for (std::size_t r = 0; r < bn; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     std::uint64_t key = 0;
     for (std::size_t i = 0; i < k_; ++i) {
-      key = (key << 8) | col_bins_[dims[i] * block + r];
+      key = (key << 8) | cols[dims[i] * stride + r];
     }
+    const Count w = weights != nullptr ? weights[r] : 1;
     for (std::size_t pos = lower_bound_u64(keys, m, key);
          pos < m && keys[pos] == key; ++pos) {
-      ++counts_[sub.cdu_index[pos]];
+      counts_[sub.cdu_index[pos]] += w;
     }
   }
 }
 
-void UnitPopulator::sweep_packed_hash(const Subspace& sub, std::size_t bn) {
-  const std::size_t block = cfg_.block_records;
+void UnitPopulator::sweep_packed_hash(const Subspace& sub,
+                                      const ColumnBlock& b) {
+  const auto [cols, stride, n, weights] = b;
   const DimId* dims = sub.dims.data();
   const std::uint64_t* keys = sub.keys.data();
   const std::size_t m = sub.keys.size();
-  for (std::size_t r = 0; r < bn; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     std::uint64_t key = 0;
     for (std::size_t i = 0; i < k_; ++i) {
-      key = (key << 8) | col_bins_[dims[i] * block + r];
+      key = (key << 8) | cols[dims[i] * stride + r];
     }
+    const Count w = weights != nullptr ? weights[r] : 1;
     std::uint64_t h = mix64(key) & sub.slot_mask;
     while (sub.slots[h] != kEmptySlot) {
       const std::size_t first = sub.slots[h];
       if (keys[first] == key) {
         for (std::size_t pos = first; pos < m && keys[pos] == key; ++pos) {
-          ++counts_[sub.cdu_index[pos]];
+          counts_[sub.cdu_index[pos]] += w;
         }
         break;
       }
@@ -420,13 +437,14 @@ void UnitPopulator::sweep_packed_hash(const Subspace& sub, std::size_t bn) {
   }
 }
 
-void UnitPopulator::sweep_memcmp(const Subspace& sub, std::size_t bn) {
-  const std::size_t block = cfg_.block_records;
+void UnitPopulator::sweep_memcmp(const Subspace& sub, const ColumnBlock& b) {
+  const auto [cols, stride, n, weights] = b;
   const DimId* dims = sub.dims.data();
   BinId* key = key_scratch_.data();
-  for (std::size_t r = 0; r < bn; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     // Project the record onto the subspace's dimensions.
-    for (std::size_t i = 0; i < k_; ++i) key[i] = col_bins_[dims[i] * block + r];
+    for (std::size_t i = 0; i < k_; ++i) key[i] = cols[dims[i] * stride + r];
+    const Count w = weights != nullptr ? weights[r] : 1;
 
     // Binary search the projected bin tuple among the sorted CDU rows.
     std::size_t lo = 0;
@@ -441,13 +459,13 @@ void UnitPopulator::sweep_memcmp(const Subspace& sub, std::size_t bn) {
         hi = mid;
       }
     }
-    // Increment every matching row (duplicate CDUs are normally removed by
+    // Count every matching row (duplicate CDUs are normally removed by
     // dedup before populating, but the counting contract holds either way:
     // identical candidates sort adjacently).
     while (lo < sub.cdu_index.size() &&
            std::memcmp(sub.sorted_bins.data() + lo * k_, key,
                        k_ * sizeof(BinId)) == 0) {
-      ++counts_[sub.cdu_index[lo]];
+      counts_[sub.cdu_index[lo]] += w;
       ++lo;
     }
   }

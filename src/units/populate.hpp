@@ -2,9 +2,16 @@
 //
 // This is the I/O-bound, data-parallel phase the paper says dominates run
 // time ("bulk of the time is taken in populating the candidate dense units
-// which is completely data parallel", Section 5.3).  Each rank scans its
-// N/p records in B-record chunks, accumulates local counts, and the driver
-// Reduce-sums them.
+// which is completely data parallel", Section 5.3).  Each rank counts its
+// N/p records, accumulates local counts, and the driver Reduce-sums them.
+//
+// Two row sources feed the same counting kernels.  Level 1, and any level
+// whose rank abandoned its table at the memory cap, streams the records in
+// B-record chunks (accumulate(rows, nrows)).  Levels >= 2 otherwise sweep
+// the rank's TransactionTable (accumulate(table)): one row per distinct
+// dense-item tuple, weighted by its multiplicity — exact because later
+// CDUs only use items of earlier ones (see units/transaction_table.hpp).
+// The bitmap kernel always streams: its index is over record ids.
 //
 // Implementation: a record lies in CDU {(d₁,b₁)..(d_k,b_k)} iff its bin
 // index in dimension dᵢ equals bᵢ for all i (adaptive bins tile each
@@ -13,8 +20,10 @@
 // in cache-sized blocks with a subspace-major inner loop: each block's
 // per-dimension bin indices are computed once into a column buffer, then
 // every subspace sweeps the whole block while its lookup structure stays
-// hot in cache.  The block sweep is self-contained per block range, so the
-// kernel is trivially splittable for future intra-rank threading.
+// hot in cache.  A table block is a slice of the table's own columns, with
+// the row weights in place of the implicit weight 1.  The block sweep is
+// self-contained per block range, so the kernel is trivially splittable
+// for future intra-rank threading.
 //
 // Per-subspace lookup kernels (PopulateKernel selects; Auto is Packed):
 //   * packed/sorted  (k <= 8): the k bin bytes of each CDU row pack into
@@ -43,6 +52,7 @@
 // the driver folds it into the --max-cdu-bytes budget.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -52,6 +62,8 @@
 #include "units/unit_store.hpp"
 
 namespace mafia {
+
+class TransactionTable;
 
 /// Lookup-kernel selection for UnitPopulator.  Auto picks the packed-key
 /// kernels whenever the unit dimensionality allows (k <= kPackedKeyMaxDims)
@@ -107,6 +119,16 @@ struct PopulateKernelStats {
   /// Total 64-bit words ANDed by the bitmap count finalization, summed
   /// over all levels — the work metric of the AND+popcount reduction.
   std::size_t bitmap_words_anded = 0;
+  /// Transaction-table ledger (the driver fills these at the end of a run;
+  /// the populator never does).  Rows and bytes are the largest any rank's
+  /// table reached — an abandoned table reports the size that crossed its
+  /// cap; built_level is the level whose CDUs keyed the tables (0 when no
+  /// table was attempted); fallback_ranks counts the ranks that abandoned
+  /// theirs and streamed instead.
+  std::size_t table_rows_max = 0;
+  std::size_t table_bytes_max = 0;
+  std::size_t table_built_level = 0;
+  std::size_t table_fallback_ranks = 0;
 
   void merge(const PopulateKernelStats& other) {
     packed_sorted_subspaces += other.packed_sorted_subspaces;
@@ -116,6 +138,10 @@ struct PopulateKernelStats {
     if (other.block_records > block_records) block_records = other.block_records;
     if (other.bitmap_bytes > bitmap_bytes) bitmap_bytes = other.bitmap_bytes;
     bitmap_words_anded += other.bitmap_words_anded;
+    table_rows_max = std::max(table_rows_max, other.table_rows_max);
+    table_bytes_max = std::max(table_bytes_max, other.table_bytes_max);
+    table_built_level = std::max(table_built_level, other.table_built_level);
+    table_fallback_ranks += other.table_fallback_ranks;
   }
 };
 
@@ -129,6 +155,11 @@ class UnitPopulator {
   /// Folds `nrows` row-major records (width = grids.num_dims()) into the
   /// local counts.
   void accumulate(const Value* rows, std::size_t nrows);
+
+  /// Folds a finished transaction table into the local counts: each row
+  /// adds its weight to every CDU it lies in.  The table must cover the
+  /// CDUs (TransactionTable::covers); not valid under the Bitmap kernel.
+  void accumulate(const TransactionTable& table);
 
   /// Accumulates `base` element-wise into the counts — the append path's
   /// accumulate-into-existing-counts entry point.  Valid for all three
@@ -169,9 +200,10 @@ class UnitPopulator {
     return packed_ ? PopulateKernel::Packed : PopulateKernel::Memcmp;
   }
 
-  /// Kernel auxiliary memory needed to count `nrows` records: the bitmap
-  /// index (bitset words + bin map) under the Bitmap kernel, the lookup
-  /// tables (packed keys, hash slots, sorted byte rows) otherwise.  Callers
+  /// Kernel auxiliary memory needed to count `nrows` records: the
+  /// per-subspace lookup vectors (sorted-row -> CDU index, packed keys,
+  /// hash slots, sorted byte rows, bitmap ids), plus the bitmap index
+  /// (bitset words + bin map) under the Bitmap kernel.  Callers
   /// pass the worst-case partition size so a collective budget guard stays
   /// rank-invariant.  See auxiliary_component() for the matching name.
   [[nodiscard]] std::size_t auxiliary_bytes(std::size_t nrows) const;
@@ -196,9 +228,23 @@ class UnitPopulator {
     std::vector<std::uint32_t> bitmap_ids;
   };
 
-  void sweep_packed_sorted(const Subspace& sub, std::size_t bn);
-  void sweep_packed_hash(const Subspace& sub, std::size_t bn);
-  void sweep_memcmp(const Subspace& sub, std::size_t bn);
+  /// One block of rows for the sweeps: the bin of row r in dim j is
+  /// cols[j * stride + r]; row r counts `weights[r]` times (once when
+  /// weights is null).
+  struct ColumnBlock {
+    const BinId* cols;
+    std::size_t stride;
+    std::size_t rows;
+    const Count* weights;
+  };
+
+  void sweep(const ColumnBlock& b);
+  void sweep_packed_sorted(const Subspace& sub, const ColumnBlock& b);
+  void sweep_packed_hash(const Subspace& sub, const ColumnBlock& b);
+  void sweep_memcmp(const Subspace& sub, const ColumnBlock& b);
+
+  /// Bitmap index bytes (bitset words + bin map) for `nrows` records.
+  [[nodiscard]] std::size_t bitmap_index_bytes(std::size_t nrows) const;
 
   /// Bitmap-kernel count finalization: for every member CDU, AND its k
   /// bitmaps and popcount over the word range the rows accumulated since

@@ -262,6 +262,51 @@ TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
   EXPECT_TRUE(doc.has("unjoined_dus"));
 }
 
+TEST_F(CliPipeline, TransactionTableLedgerInReport) {
+  // The default kernel sweeps the transaction table from level 2 on; the
+  // report says so per level and in the populate_kernel ledger, and the
+  // text report prints the ledger line.  The bitmap kernel streams every
+  // level, so the same data yields records everywhere and no table.
+  const std::string report = temp("mafia_cli_table_report.json");
+  ASSERT_EQ(run_cli("generate --out " + data_ +
+                    " --dims 8 --records 20000 --seed 7 --cluster 1,4,6:30:45")
+                .first,
+            0);
+  for (const bool bitmap : {false, true}) {
+    auto [status, out] = run_cli(
+        "cluster --data " + data_ +
+        " --ranks 3 --domain-lo 0 --domain-hi 100 --report-json " + report +
+        (bitmap ? " --populate-kernel bitmap" : ""));
+    ASSERT_EQ(status, 0) << out;
+    EXPECT_NE(out.find("populate rows: k1 records 22000"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("tables keyed at level") != std::string::npos, !bitmap)
+        << out;
+
+    const mafia::JsonValue doc = mafia::json_parse(slurp(report));
+    std::remove(report.c_str());
+    const auto& levels = doc.at("levels").array;
+    ASSERT_GE(levels.size(), 2u);
+    EXPECT_EQ(levels[0].at("populate_source").string, "records");
+    EXPECT_EQ(levels[0].at("populate_rows").number, 22000.0);
+    for (std::size_t i = 1; i < levels.size(); ++i) {
+      EXPECT_EQ(levels[i].at("populate_source").string,
+                bitmap ? "records" : "table");
+      if (bitmap) {
+        EXPECT_EQ(levels[i].at("populate_rows").number, 22000.0);
+      } else {
+        EXPECT_GT(levels[i].at("populate_rows").number, 0.0);
+        EXPECT_LT(levels[i].at("populate_rows").number, 22000.0);
+      }
+    }
+    const auto& pk = doc.at("populate_kernel");
+    EXPECT_EQ(pk.at("table_built_level").number, bitmap ? 0.0 : 2.0);
+    EXPECT_EQ(pk.at("table_fallback_ranks").number, 0.0);
+    EXPECT_EQ(pk.at("table_rows_max").number > 0.0, !bitmap);
+    EXPECT_EQ(pk.at("table_bytes_max").number > 0.0, !bitmap);
+  }
+}
+
 TEST_F(CliPipeline, EmptyRankPartitionsProduceValidReport) {
   // More ranks than records: some ranks own zero rows, so per-rank io stats
   // divide by zero-ish totals (the overlap fraction's read_seconds = 0

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "datagen/generator.hpp"
@@ -310,6 +312,59 @@ TEST_P(PopulateOracleDatagen, KernelsMatchOracleOnPlantedWorkloads) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PopulateOracleDatagen,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+TEST(PopulateBudget, AuxiliaryBytesCountEveryLookupVector) {
+  // --max-cdu-bytes budgets auxiliary_bytes(), so it must cover every
+  // per-CDU vector each kernel allocates.  Recompute them from the CDU
+  // store alone: per subspace of m members, the sorted-row -> CDU index
+  // (4 B each, every kernel) plus the packed keys (8 B) and hash slots
+  // (4 B per slot), or the memcmp byte rows (k B), or the bitmap ids
+  // (4k B) with the bitmap index (one bitset per used (dim, bin) pair and
+  // the (dim, bin) map).
+  IcgRandom rng(301);
+  const GridSet grids = uniform_grids(7, 9);
+  const std::size_t k = 3;
+  const std::size_t nrows = 1000;
+  const UnitStore cdus = random_cdus(rng, grids, k, 400);
+  std::map<std::vector<DimId>, std::size_t> members;
+  std::set<std::pair<DimId, BinId>> items;
+  for (std::size_t u = 0; u < cdus.size(); ++u) {
+    const auto d = cdus.dims(u);
+    ++members[std::vector<DimId>(d.begin(), d.end())];
+    for (std::size_t i = 0; i < k; ++i) items.insert({d[i], cdus.bins(u)[i]});
+  }
+  ASSERT_GT(members.size(), 10u);
+
+  const std::size_t hash_min = 12;
+  std::size_t packed = 0;
+  std::size_t memcmp_rows = 0;
+  std::size_t bitmap = items.size() * ((nrows + 63) / 64) * 8 +
+                       grids.num_dims() * kMaxBinsPerDim * 4;
+  bool saw_hash = false;
+  bool saw_sorted = false;
+  for (const auto& [dims, m] : members) {
+    packed += 4 * m + 8 * m;
+    if (m >= hash_min) {
+      packed += 4 * hash_table_capacity(m);
+      saw_hash = true;
+    } else {
+      saw_sorted = true;
+    }
+    memcmp_rows += 4 * m + k * m;
+    bitmap += 4 * m + 4 * k * m;
+  }
+  ASSERT_TRUE(saw_hash && saw_sorted);
+
+  EXPECT_EQ(UnitPopulator(grids, cdus, {2048, PopulateKernel::Auto, hash_min})
+                .auxiliary_bytes(nrows),
+            packed);
+  EXPECT_EQ(UnitPopulator(grids, cdus, {2048, PopulateKernel::Memcmp, hash_min})
+                .auxiliary_bytes(nrows),
+            memcmp_rows);
+  EXPECT_EQ(UnitPopulator(grids, cdus, {2048, PopulateKernel::Bitmap, hash_min})
+                .auxiliary_bytes(nrows),
+            bitmap);
+}
 
 }  // namespace
 }  // namespace mafia
