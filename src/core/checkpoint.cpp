@@ -125,19 +125,6 @@ std::vector<std::uint8_t> serialize_checkpoint(const CheckpointState& state) {
     for (const AppendLevelMemo& m : state.memo) {
       w.pod(m.level);
       write_store(w, m.cdus);
-      std::vector<std::uint64_t> packed(m.parents.size());
-      for (std::size_t i = 0; i < m.parents.size(); ++i) {
-        packed[i] = (static_cast<std::uint64_t>(m.parents[i].first) << 32) |
-                    m.parents[i].second;
-      }
-      w.vec(packed);
-      w.vec(m.raw_to_unique);
-      w.pod(m.pending_raw_count);
-      w.pod(m.pending_join.buckets);
-      w.pod(m.pending_join.probes);
-      w.pod(m.pending_join.emitted);
-      w.pod(m.pending_join.repeats_fused);
-      w.pod(m.pending_join_kernel);
       w.vec(m.counts);
       w.vec(m.flags);
     }
@@ -249,19 +236,6 @@ CheckpointState deserialize_checkpoint(const std::uint8_t* data,
         AppendLevelMemo m;
         m.level = r.pod<std::uint64_t>();
         m.cdus = read_store(r);
-        const auto packed = r.vec<std::uint64_t>();
-        m.parents.resize(packed.size());
-        for (std::size_t j = 0; j < packed.size(); ++j) {
-          m.parents[j] = {static_cast<std::uint32_t>(packed[j] >> 32),
-                          static_cast<std::uint32_t>(packed[j])};
-        }
-        m.raw_to_unique = r.vec<std::uint32_t>();
-        m.pending_raw_count = r.pod<std::uint64_t>();
-        m.pending_join.buckets = r.pod<std::uint64_t>();
-        m.pending_join.probes = r.pod<std::uint64_t>();
-        m.pending_join.emitted = r.pod<std::uint64_t>();
-        m.pending_join.repeats_fused = r.pod<std::uint64_t>();
-        m.pending_join_kernel = r.pod<std::uint8_t>();
         m.counts = r.vec<Count>();
         m.flags = r.vec<std::uint8_t>();
         require_input(m.counts.size() == m.cdus.size() &&

@@ -9,7 +9,7 @@
 // possible recovery point for a grid/density algorithm, since the state is
 // dense-unit summaries (kilobytes), not data (gigabytes).
 //
-// File format (version 4, little-endian PODs):
+// File format (version 5, little-endian PODs):
 //   [0..7]   magic "MAFIACKP"
 //   [8..11]  uint32 format version
 //   [12..15] uint32 CRC-32 of the payload
@@ -19,13 +19,17 @@
 //            populate-kernel counters, join-kernel counters, and — when the
 //            `complete` flag is set — the append-base sections: attribute
 //            domains, the global fine histogram, one AppendLevelMemo per
-//            executed level, and the data-segment provenance
+//            executed level (candidate units, counts, dense flags), and
+//            the data-segment provenance
 // (Version 2 added the join-kernel work counters; version 3 added the
 // per-level populate-kernel id, bitmap-index footprint/AND-work counters,
 // and the unjoined-dense-unit count + capped printable list; version 4
-// added the `complete` flag and the append-base sections behind it.  Older
-// files are discarded by the version check and the run restarts from
-// level 1.)
+// added the `complete` flag and the append-base sections behind it;
+// version 5 dropped the join artifacts — parent links, dedup map, pending
+// join counters — from each AppendLevelMemo, since an append run always
+// re-runs the join.  Older files are discarded by the version check: a
+// resume restarts from level 1, and an append refuses a base it cannot
+// read.)
 //
 // Two kinds of checkpoint file share the format:
 //   * per-level files "ckpt-level-NNNN.bin" (complete = 0): the recovery
@@ -35,7 +39,8 @@
 //     the level loop finishes, carrying everything `pmafia append` needs
 //     to fold a new batch in without rescanning the base data — the
 //     domains and fine histogram (histogram reuse), and per-level memo
-//     entries with the global counts and dense flags (level reuse).
+//     entries with the candidate units, global counts and dense flags
+//     (level reuse).
 //
 // Torn writes cannot produce a "valid" half-checkpoint: files are written
 // to a temp name and atomically renamed, and the CRC guards everything
@@ -68,7 +73,7 @@
 
 namespace mafia {
 
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// One data file a checkpointed run consumed, in concatenation order —
 /// `pmafia append` reloads the segments to reconstruct the base data.
@@ -77,20 +82,14 @@ struct DataSegment {
   std::uint64_t records = 0;
 };
 
-/// The entering state of one level-loop iteration plus its computed global
-/// counts and dense flags — the memo an append run replays: as long as the
-/// fresh flags of every earlier level match the stored ones, level k's
-/// candidate set is unchanged, so its counts are the stored global counts
-/// plus a batch-only populate pass.
+/// One executed level's candidate units with their global populate counts
+/// and dense flags — the memo an append run seeds from.  Under identical
+/// binning the stored counts are valid exactly when the append run's
+/// candidate set for the level is byte-equal to `cdus`; the level then
+/// scans only the batch and adds these counts on top.
 struct AppendLevelMemo {
   std::uint64_t level = 1;
   UnitStore cdus{1};
-  /// Join artifacts that produced `cdus` (empty/zero at level 1).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
-  std::vector<std::uint32_t> raw_to_unique;
-  std::uint64_t pending_raw_count = 0;
-  JoinStats pending_join;
-  std::uint8_t pending_join_kernel = 0;
   /// Global populate counts (post-allreduce, CDU order) and the dense
   /// flags identify produced from them (post-MDL when pruning is on).
   std::vector<Count> counts;
@@ -152,7 +151,8 @@ struct CheckpointState {
                                                    std::uint64_t num_records,
                                                    std::uint32_t num_dims);
 
-/// Serializes `state` to the version-1 wire format (CRC filled in).
+/// Serializes `state` to the kCheckpointVersion wire format (CRC filled
+/// in).  The append-base sections are written only when `complete` is set.
 [[nodiscard]] std::vector<std::uint8_t> serialize_checkpoint(
     const CheckpointState& state);
 

@@ -74,45 +74,36 @@ class MafiaWorker {
                                   static_cast<std::size_t>(p),
                                   static_cast<std::size_t>(rank));
 
+    // Restore-or-build, decided collectively: a resume restores a level
+    // boundary (the checkpoint blob is broadcast, so every rank restores
+    // the same one or none does); a fresh or append run builds the grids,
+    // an append run from the base run's final checkpoint where it can.
+    // The level loop after this is one body for all three.
+    std::optional<CheckpointState> restored;
     if (opt_.append) {
-      // Append mode: load the base run's final checkpoint, rebuild grids
-      // incrementally where the stored state allows, and run the level
-      // loop with the stored memo as an accelerator.  The loop body is the
-      // same as a fresh run's, so the result is bit-identical to a full
-      // rebuild on the concatenated data whether or not anything reuses.
-      const std::size_t batch =
-          static_cast<std::size_t>(n) -
-          static_cast<std::size_t>(opt_.append->base_records);
-      const BlockRange br = block_partition(batch, static_cast<std::size_t>(p),
+      const auto base_n = static_cast<std::size_t>(opt_.append->base_records);
+      const BlockRange br = block_partition(static_cast<std::size_t>(n) - base_n,
+                                            static_cast<std::size_t>(p),
                                             static_cast<std::size_t>(rank));
-      my_batch_.begin =
-          static_cast<std::size_t>(opt_.append->base_records) + br.begin;
-      my_batch_.end =
-          static_cast<std::size_t>(opt_.append->base_records) + br.end;
-      append_setup();
-      build_grids_append();
-      collect_memo_ = true;
-      level_loop(nullptr);
-      write_final_state();
+      my_batch_ = {base_n + br.begin, base_n + br.end};
+      load_append_base();
     } else {
-      // Resume is decided collectively (the checkpoint blob is broadcast),
-      // so either every rank restores the same level boundary or none does.
-      std::optional<CheckpointState> restored = maybe_resume();
-      if (restored) {
-        grids_ = std::move(restored->grids);
-        trace_ = std::move(restored->levels);
-        registered_ = std::move(restored->registered);
-        populate_stats_ = restored->populate;
-        join_stats_ = restored->join_kernel;
-      } else {
-        build_grids();
-      }
-      // A resumed run never saw the early levels, so its final checkpoint
-      // carries no append memo (append then falls back to full scans).
-      collect_memo_ = opt_.checkpoint.enabled() && !restored;
-      level_loop(restored ? &*restored : nullptr);
-      write_final_state();
+      restored = maybe_resume();
     }
+    if (restored) {
+      grids_ = std::move(restored->grids);
+      trace_ = std::move(restored->levels);
+      registered_ = std::move(restored->registered);
+      populate_stats_ = restored->populate;
+      join_stats_ = restored->join_kernel;
+    } else {
+      build_grids(append_base_ ? &*append_base_ : nullptr);
+    }
+    // A resumed run never saw the early levels, so its final checkpoint
+    // carries no append memo (append then falls back to full scans).
+    collect_memo_ = opt_.checkpoint.enabled() && !restored;
+    level_loop(restored ? &*restored : nullptr);
+    write_final_state();
     {
       PhaseTracer::Scope sp(tracer_, "assemble");
       clusters_ = assemble_clusters(registered_);
@@ -146,9 +137,17 @@ class MafiaWorker {
  private:
   // ----------------------------------------------------------- grid phase
 
-  void build_grids() {
+  /// Algorithm 2's grid phase.  Domains and the fine histogram are exact
+  /// under concatenation (min/max and integer sums are associative), so
+  /// when an append run's stored `base` state carries them only the batch
+  /// is scanned and the stored global values are folded in; otherwise
+  /// every record is.  Either way compute_*_grids sees the inputs of a
+  /// fresh run over all records, so the grids are bit-identical to it.
+  void build_grids(const CheckpointState* base) {
     const std::size_t d = data_.num_dims();
     const auto n = static_cast<Count>(data_.num_records());
+    const bool base_domain = base != nullptr && base->domain_lo.size() == d &&
+                             base->domain_hi.size() == d;
 
     // Attribute domains: fixed, or learned with a min/max pass + Reduce.
     std::vector<Value> lo(d);
@@ -159,14 +158,23 @@ class MafiaWorker {
     } else {
       PhaseTracer::Scope sp(tracer_, "histogram");
       MinMaxAccumulator mm(d);
-      scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
-        mm.accumulate(rows, nrows);
-      });
+      scan_local("histogram", base_domain ? my_batch_ : my_records_,
+                 [&](const Value* rows, std::size_t nrows) {
+                   mm.accumulate(rows, nrows);
+                 });
       comm_.allreduce_min(mm.mins());
       comm_.allreduce_max(mm.maxs());
       lo = mm.mins();
       hi = mm.maxs();
+      if (base_domain) {
+        for (std::size_t j = 0; j < d; ++j) {
+          lo[j] = std::min(lo[j], base->domain_lo[j]);
+          hi[j] = std::max(hi[j], base->domain_hi[j]);
+        }
+      }
     }
+    domain_lo_ = lo;
+    domain_hi_ = hi;
 
     if (opt_.uniform_grid) {
       // CLIQUE-style grid: no histogram needed.
@@ -179,29 +187,32 @@ class MafiaWorker {
       } else {
         grids_ = compute_uniform_grids(lo, hi, ug.xi, ug.tau_fraction, n);
       }
-      if (opt_.checkpoint.enabled()) {
-        domain_lo_ = lo;
-        domain_hi_ = hi;
-      }
       return;
     }
 
     // Algorithm 2: "build a histogram in each dimension; Reduce
     // communication to get the global histogram; determine adaptive
-    // intervals ... and also fix the threshold level."
+    // intervals ... and also fix the threshold level."  Stored fine counts
+    // are reusable only under the same geometry: same domains (cell
+    // widths) and the same cell count.
     HistogramBuilder hist(lo, hi, opt_.grid.fine_bins);
+    const bool base_hist = base_domain && lo == base->domain_lo &&
+                           hi == base->domain_hi &&
+                           base->hist_counts.size() == d * opt_.grid.fine_bins;
     {
       PhaseTracer::Scope sp(tracer_, "histogram");
-      scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
-        hist.accumulate(rows, nrows);
-      });
+      scan_local("histogram", base_hist ? my_batch_ : my_records_,
+                 [&](const Value* rows, std::size_t nrows) {
+                   hist.accumulate(rows, nrows);
+                 });
       comm_.allreduce_sum(hist.counts());
+      // Seed after the allreduce: the base counts are already global, so
+      // they must enter the sum exactly once, not once per rank.
+      if (base_hist) hist.seed_counts(base->hist_counts);
     }
-    if (opt_.checkpoint.enabled()) {
-      domain_lo_ = lo;
-      domain_hi_ = hi;
-      hist_counts_ = hist.counts();  // global after the allreduce
-    }
+    // Only a final checkpoint reads the global histogram back; a plain
+    // build skips the d * fine_bins copy.
+    if (opt_.checkpoint.enabled()) hist_counts_ = hist.counts();
     {
       PhaseTracer::Scope sp(tracer_, "grid");
       grids_ = compute_adaptive_grids(lo, hi, hist, n, opt_.grid);
@@ -216,7 +227,7 @@ class MafiaWorker {
   /// reads, everyone receives the broadcast blob; an empty blob means no
   /// usable base state, which is an input error on every rank — append
   /// cannot proceed without the thing it appends to.
-  void append_setup() {
+  void load_append_base() {
     PhaseTracer::Scope sp(tracer_, "checkpoint");
     recovery_.checkpoint_enabled = true;
     append_stats_.performed = true;
@@ -244,124 +255,36 @@ class MafiaWorker {
     append_base_ = deserialize_checkpoint(blob.data(), blob.size());
   }
 
-  /// Grid phase of an append run.  Domains and the fine histogram are
-  /// exact under concatenation (min/max and integer sums are associative),
-  /// so when the stored state carries them only the batch is scanned;
-  /// otherwise the full concatenated data is — either way the inputs to
-  /// compute_adaptive_grids are bit-identical to a fresh run's, and so are
-  /// the grids.  The level-reuse chain is then armed only if the fresh
-  /// grids bin records exactly like the stored ones.
-  void build_grids_append() {
-    const std::size_t d = data_.num_dims();
-    const auto n = static_cast<Count>(data_.num_records());
-    const CheckpointState& base = *append_base_;
-    const bool have_base_domain =
-        base.domain_lo.size() == d && base.domain_hi.size() == d;
-
-    std::vector<Value> lo(d);
-    std::vector<Value> hi(d);
-    if (opt_.fixed_domain) {
-      std::fill(lo.begin(), lo.end(), opt_.fixed_domain->first);
-      std::fill(hi.begin(), hi.end(), opt_.fixed_domain->second);
-    } else {
-      PhaseTracer::Scope sp(tracer_, "histogram");
-      MinMaxAccumulator mm(d);
-      if (have_base_domain) {
-        scan_batch("histogram", [&](const Value* rows, std::size_t nrows) {
-          mm.accumulate(rows, nrows);
-        });
-      } else {
-        scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
-          mm.accumulate(rows, nrows);
-        });
-      }
-      comm_.allreduce_min(mm.mins());
-      comm_.allreduce_max(mm.maxs());
-      lo = mm.mins();
-      hi = mm.maxs();
-      if (have_base_domain) {
-        // Fold the stored base extrema in: min/max are exact, so this
-        // equals a full scan of the concatenated data.
-        for (std::size_t j = 0; j < d; ++j) {
-          lo[j] = std::min(lo[j], base.domain_lo[j]);
-          hi[j] = std::max(hi[j], base.domain_hi[j]);
-        }
-      }
-    }
-
-    if (opt_.uniform_grid) {
-      PhaseTracer::Scope sp(tracer_, "grid");
-      const auto& ug = *opt_.uniform_grid;
-      if (!ug.bins_per_dim.empty()) {
-        require(ug.bins_per_dim.size() == d,
-                "MafiaOptions: bins_per_dim size mismatch");
-        grids_ = compute_uniform_grids(lo, hi, ug.bins_per_dim,
-                                       ug.tau_fraction, n);
-      } else {
-        grids_ = compute_uniform_grids(lo, hi, ug.xi, ug.tau_fraction, n);
-      }
-      domain_lo_ = lo;
-      domain_hi_ = hi;
-      arm_append_chain();
-      return;
-    }
-
-    HistogramBuilder hist(lo, hi, opt_.grid.fine_bins);
-    // Stored fine counts are reusable only if the histogram geometry is
-    // unchanged: same domains (cell widths) and same cell count.
-    const bool hist_incremental =
-        have_base_domain && lo == base.domain_lo && hi == base.domain_hi &&
-        base.hist_counts.size() == d * opt_.grid.fine_bins;
-    {
-      PhaseTracer::Scope sp(tracer_, "histogram");
-      if (hist_incremental) {
-        scan_batch("histogram", [&](const Value* rows, std::size_t nrows) {
-          hist.accumulate(rows, nrows);
-        });
-      } else {
-        scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
-          hist.accumulate(rows, nrows);
-        });
-      }
-      comm_.allreduce_sum(hist.counts());
-      // Seed after the allreduce: the base counts are already global, so
-      // they must enter the sum exactly once, not once per rank.
-      if (hist_incremental) hist.seed_counts(base.hist_counts);
-    }
-    domain_lo_ = lo;
-    domain_hi_ = hi;
-    hist_counts_ = hist.counts();
-    {
-      PhaseTracer::Scope sp(tracer_, "grid");
-      grids_ = compute_adaptive_grids(lo, hi, hist, n, opt_.grid);
-    }
-    arm_append_chain();
-  }
-
-  /// Arms the level-reuse chain: stored per-level counts are valid only
-  /// when the fresh grids bin records exactly like the stored ones, and
-  /// the memo must cover the run from level 1 (resumed base runs don't).
-  void arm_append_chain() {
-    append_chain_ = !append_base_->memo.empty() &&
-                    append_base_->memo.front().level == 1 &&
-                    grids_binning_equal(grids_, append_base_->grids);
-  }
-
-  /// The stored memo entry for `level`, or nullptr.  Entries are pushed
-  /// once per executed level, so entry i covers level i + 1; the byte-level
-  /// store comparison is a defensive invariant check (the chain logic
-  /// guarantees it, corruption or a logic regression breaks the chain
-  /// instead of corrupting counts).
-  const AppendLevelMemo* base_memo(std::size_t level, const UnitStore& cdus) {
-    if (!append_chain_) return nullptr;
-    const auto& memo = append_base_->memo;
-    if (level > memo.size() || memo[level - 1].level != level) return nullptr;
-    const AppendLevelMemo* m = &memo[level - 1];
-    if (m->counts.size() != cdus.size() || !stores_equal(m->cdus, cdus)) {
-      append_chain_ = false;
+  /// The stored memo entry an append level may seed its counts from, or
+  /// nullptr.  Under identical binning a level's stored global counts are
+  /// valid exactly when its candidate set is the stored one, so the test
+  /// is byte equality of the two CDU stores; how the candidates came about
+  /// (earlier levels' flags, the join) does not matter.
+  [[nodiscard]] const AppendLevelMemo* base_memo(std::size_t level,
+                                                 const UnitStore& cdus) const {
+    if (!append_base_ || !grids_binning_equal(grids_, append_base_->grids)) {
       return nullptr;
     }
-    return m;
+    const auto& memo = append_base_->memo;
+    if (level > memo.size() || memo[level - 1].level != level) return nullptr;
+    return stores_equal(memo[level - 1].cdus, cdus) ? &memo[level - 1] : nullptr;
+  }
+
+  /// The run's cumulative outputs as a checkpoint.  A level-boundary file
+  /// adds the loop-carried state; the final file adds the append-base
+  /// sections.
+  [[nodiscard]] CheckpointState snapshot() const {
+    CheckpointState st;
+    st.fingerprint = fingerprint_;
+    st.num_records = static_cast<std::uint64_t>(data_.num_records());
+    st.num_dims = static_cast<std::uint32_t>(data_.num_dims());
+    st.level = trace_.empty() ? 1 : trace_.back().level;
+    st.grids = grids_;
+    st.levels = trace_;
+    st.registered = registered_;
+    st.populate = populate_stats_;
+    st.join_kernel = join_stats_;
+    return st;
   }
 
   /// Writes the final (complete) checkpoint after the level loop: the
@@ -373,16 +296,7 @@ class MafiaWorker {
     if (!opt_.checkpoint.enabled()) return;
     PhaseTracer::Scope sp(tracer_, "checkpoint");
     if (!comm_.is_parent()) return;
-    CheckpointState st;
-    st.fingerprint = fingerprint_;
-    st.num_records = static_cast<std::uint64_t>(data_.num_records());
-    st.num_dims = static_cast<std::uint32_t>(data_.num_dims());
-    st.level = trace_.empty() ? 1 : trace_.back().level;
-    st.grids = grids_;
-    st.levels = trace_;
-    st.registered = registered_;
-    st.populate = populate_stats_;
-    st.join_kernel = join_stats_;
+    CheckpointState st = snapshot();
     st.complete = 1;
     st.domain_lo = domain_lo_;
     st.domain_hi = domain_hi_;
@@ -444,23 +358,10 @@ class MafiaWorker {
 
     while (true) {
       check_cdu_budget(level, cdus.size(), cdus.k(), /*with_counts=*/true);
-      // Fresh memo entry: the entering state of this iteration (counts and
-      // flags are filled in once computed below).  This is what the final
-      // checkpoint hands to a future append run.
-      if (collect_memo_) {
-        AppendLevelMemo fm;
-        fm.level = level;
-        fm.cdus = cdus;
-        fm.parents = parents;
-        fm.raw_to_unique = raw_to_unique;
-        fm.pending_raw_count = pending_raw_count;
-        fm.pending_join = pending_join;
-        fm.pending_join_kernel = pending_join_kernel;
-        memo_.push_back(std::move(fm));
-      }
-      // Append reuse: with the chain intact this level's candidate set is
-      // provably the stored one, so its counts are the stored global
-      // counts plus a batch-only populate pass.
+      // Append reuse: when this level's candidate set is the stored one,
+      // its counts are the stored global counts plus a batch-only pass.
+      // Only the populate row source differs; the rest of the body is
+      // shared by build, resume and append.
       const AppendLevelMemo* base = base_memo(level, cdus);
       // ---- Populate candidates (data parallel): each rank scans its N/p
       // records in B-record chunks, then Reduce globalizes the counts.
@@ -477,31 +378,26 @@ class MafiaWorker {
       std::size_t populate_rows = 0;
       {
         PhaseTracer::Scope sp(tracer_, "populate");
-        if (base != nullptr) {
-          scan_batch("populate", [&](const Value* rows, std::size_t nrows) {
-            populator.accumulate(rows, nrows);
-          });
-          populate_rows = my_batch_.size();
+        // The first level >= 2 that needs the full partition builds the
+        // table from its own CDUs; it and every later level sweep it.  The
+        // bitmap kernel's index is over record ids, so it streams.
+        if (base == nullptr && level >= 2 && !table_attempted_ &&
+            opt_.populate.kernel != PopulateKernel::Bitmap) {
+          table = build_table(cdus, level);
+        }
+        if (base == nullptr && table) {
+          require(table->covers(cdus),
+                  "level loop: CDUs use items outside the transaction table");
+          populator.accumulate(*table);
+          populate_source = kPopulateSourceTable;
+          populate_rows = table->rows();
         } else {
-          // The first level >= 2 that needs the full partition builds the
-          // table from its own CDUs; it and every later level sweep it.
-          // The bitmap kernel's index is over record ids, so it streams.
-          if (level >= 2 && !table_attempted_ &&
-              opt_.populate.kernel != PopulateKernel::Bitmap) {
-            table = build_table(cdus, level);
-          }
-          if (table) {
-            require(table->covers(cdus),
-                    "level loop: CDUs use items outside the transaction table");
-            populator.accumulate(*table);
-            populate_source = kPopulateSourceTable;
-            populate_rows = table->rows();
-          } else {
-            scan_local("populate", [&](const Value* rows, std::size_t nrows) {
-              populator.accumulate(rows, nrows);
-            });
-            populate_rows = my_records_.size();
-          }
+          const BlockRange& rows = base != nullptr ? my_batch_ : my_records_;
+          scan_local("populate", rows,
+                     [&](const Value* chunk, std::size_t nrows) {
+                       populator.accumulate(chunk, nrows);
+                     });
+          populate_rows = rows.size();
         }
         comm_.allreduce_sum(populator.counts());
         // Seed AFTER the allreduce: the stored counts are already global,
@@ -534,21 +430,17 @@ class MafiaWorker {
       }
       if (opt_.mdl_pruning) apply_mdl_pruning(cdus, populator.counts(), flags);
 
-      // Append: compare the fresh dense flags against the stored ones.  Any
-      // divergence means the next level's candidate set differs from the
-      // stored run's, so the reuse chain ends here — every later level runs
-      // the real join and full scans.  Identical flags keep the chain
-      // intact (the join is a pure function of the dense set).
+      // Append: count the units the batch promoted or demoted over the
+      // aligned candidate sets.
       if (base != nullptr) {
         for (std::size_t i = 0; i < flags.size(); ++i) {
           append_stats_.units_promoted += (flags[i] != 0 && base->flags[i] == 0);
           append_stats_.units_demoted += (flags[i] == 0 && base->flags[i] != 0);
         }
-        if (flags != base->flags) append_chain_ = false;
       }
+      // What the final checkpoint hands to a future append run.
       if (collect_memo_) {
-        memo_.back().counts = populator.counts();
-        memo_.back().flags = flags;
+        memo_.push_back({level, cdus, populator.counts(), flags});
       }
 
       std::size_t ndu = 0;
@@ -565,11 +457,7 @@ class MafiaWorker {
         t.join_probes = pending_join.probes;
         t.join_emitted = pending_join.emitted;
         t.join_repeats_fused = pending_join.repeats_fused;
-        switch (populator.effective_kernel()) {
-          case PopulateKernel::Bitmap: t.populate_kernel = kPopulateKernelBitmap; break;
-          case PopulateKernel::Memcmp: t.populate_kernel = kPopulateKernelMemcmp; break;
-          default: t.populate_kernel = kPopulateKernelPacked; break;
-        }
+        t.populate_kernel = populator.effective_kernel();
         t.bitmap_bytes = populator.kernel_stats().bitmap_bytes;
         t.bitmap_words_anded = populator.kernel_stats().bitmap_words_anded;
         t.populate_source = populate_source;  // rank-local until the ledger
@@ -635,33 +523,6 @@ class MafiaWorker {
       // ---- Find candidate dense units for the next level (Algorithm 3).
       prev_dense = std::move(dense);
       ++level;
-      // Append: with the chain still intact the stored run generated this
-      // level from the identical dense set, so the join's entering state
-      // (unique CDUs, parents, dedup map, work counters) is replayed from
-      // the memo instead of recomputed — the join is a pure function of the
-      // dense set and the join rule, both unchanged.  The skipped
-      // record_unjoined is restored from the stored trace for the same
-      // reason.  When the memo has no entry for this level the stored run
-      // terminated here, and the real join below reproduces that
-      // termination identically.
-      if (append_chain_ && level <= append_base_->memo.size() &&
-          append_base_->memo[level - 1].level == level) {
-        const AppendLevelMemo& m = append_base_->memo[level - 1];
-        cdus = m.cdus;
-        parents = m.parents;
-        raw_to_unique = m.raw_to_unique;
-        pending_raw_count = m.pending_raw_count;
-        pending_join = m.pending_join;
-        pending_join_kernel = m.pending_join_kernel;
-        for (const LevelTrace& t : append_base_->levels) {
-          if (t.level == level - 1) {
-            trace_.back().unjoined_dus = t.unjoined_dus;
-            trace_.back().unjoined_units = t.unjoined_units;
-            break;
-          }
-        }
-        continue;
-      }
       // Kernel selection: the bucketed index needs a non-empty
       // sub-signature, so (k−1)-dim parents with k−1 == 1 (one global
       // bucket — all pair work on one rank) fall back to the pairwise
@@ -801,23 +662,15 @@ class MafiaWorker {
       if (opt_.checkpoint.enabled() && !opt_.append) {
         PhaseTracer::Scope sp(tracer_, "checkpoint");
         if (comm_.is_parent()) {
-          CheckpointState state;
-          state.fingerprint = fingerprint_;
-          state.num_records = static_cast<std::uint64_t>(n);
-          state.num_dims = static_cast<std::uint32_t>(data_.num_dims());
+          CheckpointState state = snapshot();
           state.level = level;
           state.pending_raw_count = pending_raw_count;
           state.pending_join = pending_join;
           state.pending_join_kernel = pending_join_kernel;
-          state.join_kernel = join_stats_;
           state.cdus = cdus;
           state.prev_dense = prev_dense;
           state.parents = parents;
           state.raw_to_unique = raw_to_unique;
-          state.grids = grids_;
-          state.levels = trace_;
-          state.registered = registered_;
-          state.populate = populate_stats_;
           write_checkpoint_file(opt_.checkpoint.directory, state);
           ++recovery_.checkpoints_written;
         }
@@ -840,9 +693,10 @@ class MafiaWorker {
                        transaction_table_cap(my_records_.size(),
                                              data_.num_dims(),
                                              opt_.max_cdu_bytes));
-    scan_local("populate", [&](const Value* rows, std::size_t nrows) {
-      t.accumulate(rows, nrows);
-    });
+    scan_local("populate", my_records_,
+               [&](const Value* rows, std::size_t nrows) {
+                 t.accumulate(rows, nrows);
+               });
     t.finish();
     table_stats_.table_built_level = level;
     table_stats_.table_rows_max = t.peak_rows();
@@ -996,32 +850,18 @@ class MafiaWorker {
     }
   }
 
-  /// Chunked scan of this rank's record partition, pipelined when
-  /// opt_.io.prefetch is set and timed either way: the scan's I/O split
-  /// (read vs wait vs compute) is attributed to `phase` in the run trace.
-  void scan_local(const char* phase, const ChunkFn& fn) {
+  /// Chunked scan of `range` (this rank's record partition, or its slice
+  /// of an append batch), pipelined when opt_.io.prefetch is set and timed
+  /// either way: the scan's I/O split (read vs wait vs compute) is
+  /// attributed to `phase` in the run trace.
+  void scan_local(const char* phase, const BlockRange& range,
+                  const ChunkFn& fn) {
     IoScanStats stats;
     if (pipelined_) {
-      pipelined_->scan_with_stats(my_records_.begin, my_records_.end,
-                                  opt_.chunk_records, fn, stats);
+      pipelined_->scan_with_stats(range.begin, range.end, opt_.chunk_records,
+                                  fn, stats);
     } else {
-      timed_scan(data_, my_records_.begin, my_records_.end,
-                 opt_.chunk_records, fn, stats);
-    }
-    tracer_.add_io(phase, stats);
-  }
-
-  /// scan_local over this rank's slice of the append batch only (the
-  /// records past base_records).  Used by every append-mode pass that
-  /// seeds from stored global state instead of rescanning the base data.
-  void scan_batch(const char* phase, const ChunkFn& fn) {
-    IoScanStats stats;
-    if (pipelined_) {
-      pipelined_->scan_with_stats(my_batch_.begin, my_batch_.end,
-                                  opt_.chunk_records, fn, stats);
-    } else {
-      timed_scan(data_, my_batch_.begin, my_batch_.end,
-                 opt_.chunk_records, fn, stats);
+      timed_scan(data_, range.begin, range.end, opt_.chunk_records, fn, stats);
     }
     tracer_.add_io(phase, stats);
   }
@@ -1065,20 +905,19 @@ class MafiaWorker {
   bool table_attempted_ = false;
   PopulateKernelStats table_stats_;
 
-  // Append-base sections recorded for the final checkpoint (checkpointed
-  // runs only): attribute domains, the global fine histogram, and the
-  // per-level memo a future append run seeds from.
+  // Append-base sections for the final checkpoint: attribute domains, the
+  // global fine histogram, and (collect_memo_) the per-level memo a future
+  // append run seeds from.
   bool collect_memo_ = false;
   std::vector<Value> domain_lo_;
   std::vector<Value> domain_hi_;
   std::vector<Count> hist_counts_;
   std::vector<AppendLevelMemo> memo_;
 
-  // Append-run state: this rank's slice of the new batch, the base run's
-  // final checkpoint, and whether the level-reuse chain is still intact.
+  // Append-run state: this rank's slice of the new batch and the base
+  // run's final checkpoint.
   BlockRange my_batch_;
   std::optional<CheckpointState> append_base_;
-  bool append_chain_ = false;
 };
 
 }  // namespace

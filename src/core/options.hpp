@@ -50,14 +50,15 @@ struct CheckpointConfig {
 /// records (the ones a previous checkpointed run clustered) followed by
 /// the new batch, and `base_records` marks the boundary.  The run loads
 /// the final checkpoint from CheckpointConfig::directory (fingerprinted
-/// for the base record count), seeds histograms and per-level unit counts
-/// from it, scans only the batch for every level whose candidate set is
-/// provably unchanged, and falls back to full scans from the first level
-/// whose dense-unit flags diverge — so the result is bit-identical to a
-/// full rebuild on the concatenated data by construction, and the memo
-/// only buys speed.  A new final checkpoint (fingerprinted for the
-/// concatenated count) is written at the end; per-level checkpoint writes
-/// are suppressed, so a crash mid-append leaves the base state intact.
+/// for the base record count) and seeds histograms and per-level unit
+/// counts from it.  A level scans only the batch when the bin edges are
+/// unchanged and its candidate units equal the stored ones; any other
+/// level scans all records.  Identify, join and dedup always run fresh,
+/// so the result is bit-identical to a full rebuild on the concatenated
+/// data by construction, and the memo only buys speed.  A new final
+/// checkpoint (fingerprinted for the concatenated count) is written at the
+/// end; per-level checkpoint writes are suppressed, so a crash mid-append
+/// leaves the base state intact.
 struct AppendConfig {
   std::uint64_t base_records = 0;
 };

@@ -24,13 +24,8 @@ namespace mafia {
 /// (the count is always exact; the list is a diagnostic sample).
 inline constexpr std::size_t kMaxUnjoinedListed = 32;
 
-/// Per-level populate kernel ids recorded in LevelTrace::populate_kernel
-/// (the resolved kernel family, Auto and the k > 8 fallback applied).
-inline constexpr std::uint8_t kPopulateKernelPacked = 0;
-inline constexpr std::uint8_t kPopulateKernelMemcmp = 1;
-inline constexpr std::uint8_t kPopulateKernelBitmap = 2;
-
-/// Report name of a LevelTrace::populate_kernel id.
+/// Report name of a LevelTrace::populate_kernel id (the kPopulateKernel*
+/// ids of units/populate.hpp).
 [[nodiscard]] inline const char* populate_kernel_name(std::uint8_t id) {
   switch (id) {
     case kPopulateKernelMemcmp: return "memcmp";
@@ -105,11 +100,12 @@ struct LevelTrace {
 }
 
 /// Incremental append accounting (MafiaOptions::append).  A level is
-/// "reused" when its candidate set was proven unchanged and only the new
-/// batch was scanned (stored global counts seeded on top); "rerun" when a
-/// full data scan was required (first run of a new level, or the reuse
-/// chain broke upstream).  Promotions/demotions compare the fresh dense
-/// flags against the stored ones over the aligned candidate sets.
+/// "reused" when its candidate set equals the stored one under unchanged
+/// binning, so only the new batch was scanned (stored global counts
+/// seeded on top); "rerun" when a full data scan was required (the
+/// binning changed, the candidates differ, or the base run never reached
+/// the level).  Promotions/demotions compare the fresh dense flags against
+/// the stored ones over the reused levels' candidate sets.
 struct AppendStats {
   bool performed = false;  ///< the run executed in append mode
   std::uint64_t levels_reused = 0;

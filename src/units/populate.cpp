@@ -153,8 +153,7 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
     : grids_(grids),
       k_(cdus.k()),
       packed_(cdus.k() <= kPackedKeyMaxDims &&
-              config.kernel != PopulateKernel::Memcmp &&
-              config.kernel != PopulateKernel::Bitmap),
+              config.kernel == PopulateKernel::Auto),
       bitmap_(config.kernel == PopulateKernel::Bitmap),
       cfg_(config),
       counts_(cdus.size(), 0),

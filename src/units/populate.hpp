@@ -25,7 +25,7 @@
 // self-contained per block range, so the kernel is trivially splittable
 // for future intra-rank threading.
 //
-// Per-subspace lookup kernels (PopulateKernel selects; Auto is Packed):
+// Per-subspace lookup kernels (PopulateKernel selects; Auto picks packed):
 //   * packed/sorted  (k <= 8): the k bin bytes of each CDU row pack into
 //     one uint64 (pack_bin_key); a record's projected tuple packs the same
 //     way and a branchless lower_bound over the flat sorted key array
@@ -74,7 +74,13 @@ class TransactionTable;
 /// counting — any k, wins when bins are few relative to records, loses
 /// when the used-bin count (and so the index) grows (the bench reports the
 /// crossover).
-enum class PopulateKernel { Auto, Packed, Memcmp, Bitmap };
+enum class PopulateKernel { Auto, Memcmp, Bitmap };
+
+/// Resolved kernel-family ids (UnitPopulator::effective_kernel), recorded
+/// per level in the run trace.
+inline constexpr std::uint8_t kPopulateKernelPacked = 0;
+inline constexpr std::uint8_t kPopulateKernelMemcmp = 1;
+inline constexpr std::uint8_t kPopulateKernelBitmap = 2;
 
 /// Tuning knobs for the populate kernel (defaults are the production
 /// configuration; the bench and the differential tests sweep them).
@@ -193,11 +199,11 @@ class UnitPopulator {
   [[nodiscard]] const PopulateKernelStats& kernel_stats() const { return stats_; }
 
   /// Kernel family this populator resolved to (Auto and the k > 8 packed
-  /// fallback resolved): Packed, Memcmp, or Bitmap.  Recorded per level in
+  /// fallback resolved), as a kPopulateKernel* id.  Recorded per level in
   /// the run trace.
-  [[nodiscard]] PopulateKernel effective_kernel() const {
-    if (bitmap_) return PopulateKernel::Bitmap;
-    return packed_ ? PopulateKernel::Packed : PopulateKernel::Memcmp;
+  [[nodiscard]] std::uint8_t effective_kernel() const {
+    if (bitmap_) return kPopulateKernelBitmap;
+    return packed_ ? kPopulateKernelPacked : kPopulateKernelMemcmp;
   }
 
   /// Kernel auxiliary memory needed to count `nrows` records: the

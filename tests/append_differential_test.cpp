@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -203,7 +204,7 @@ void kernel_matrix_bit_identical(mp::MpBackend backend) {
 
   const std::string work = dir.path() + "_work";
   for (const PopulateKernel pk :
-       {PopulateKernel::Packed, PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
+       {PopulateKernel::Auto, PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
     for (const JoinKernel jk : {JoinKernel::Bucketed, JoinKernel::Pairwise}) {
       for (const int p : {1, 2, 3, 5, 8}) {
         copy_dir(dir.path(), work);
@@ -321,6 +322,44 @@ TEST(AppendDifferential, AppendWithoutFinalCheckpointIsInputError) {
   EXPECT_THROW((void)run_pmafia(all_source, ao, 2), InputError);
 }
 
+TEST(AppendDifferential, OldFormatFinalCheckpointIsRefused) {
+  // A final checkpoint from the previous format version (whose memo
+  // carried join artifacts) is discarded, not misread: restamping the
+  // version field leaves the file otherwise valid, since the CRC covers
+  // only the payload.
+  const Dataset base = base_data(500);
+  const Dataset all = concat(base, same_shape_batch(100));
+  InMemorySource base_source(base);
+  InMemorySource all_source(all);
+  ScratchDir dir("mafia_append_oldformat");
+
+  MafiaOptions bo = base_options();
+  bo.checkpoint.directory = dir.path();
+  (void)run_pmafia(base_source, bo, 2);
+  const std::string path = final_checkpoint_path(dir.path());
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    const std::uint32_t old_version = 4;  // memo with join artifacts
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&old_version), sizeof(old_version));
+  }
+  const CheckpointScan scan = load_final_checkpoint(dir.path(), 0);
+  EXPECT_FALSE(scan.state.has_value());
+  EXPECT_EQ(scan.discarded, 1u);
+
+  MafiaOptions ao = base_options();
+  ao.checkpoint.directory = dir.path();
+  ao.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
+  try {
+    (void)run_pmafia(all_source, ao, 2);
+    FAIL() << "append over an old-format base checkpoint must throw";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir.path()), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(AppendDifferential, OptionMismatchInvalidatesBaseCheckpoint) {
   const Dataset base = base_data(500);
   const Dataset all = concat(base, same_shape_batch(100));
@@ -374,6 +413,49 @@ TEST(AppendDifferential, ResumedBaseFullRebuildsBitIdentically) {
   EXPECT_EQ(inc.append.levels_reused, 0u);
   expect_bit_identical(inc, run_pmafia(all_source, base_options(), 2),
                        all_source);
+}
+
+TEST(AppendDifferential, JoinCountersMatchARebuildUnderTheAppendsKernel) {
+  // The join always runs, even on reused levels: an append that switches
+  // the join kernel reports the work of its own kernel, exactly as a full
+  // rebuild with the append's options does, never the base run's.
+  const Dataset base = base_data();
+  const Dataset all = concat(base, same_shape_batch(7));
+  InMemorySource all_source(all);
+  for (const JoinKernel base_kernel : {JoinKernel::Bucketed, JoinKernel::Pairwise}) {
+    const JoinKernel append_kernel = base_kernel == JoinKernel::Bucketed
+                                         ? JoinKernel::Pairwise
+                                         : JoinKernel::Bucketed;
+    SCOPED_TRACE("append join=" + std::to_string(static_cast<int>(append_kernel)));
+    ScratchDir dir("mafia_append_joinstats_" +
+                   std::to_string(static_cast<int>(base_kernel)));
+    MafiaOptions bo = base_options();
+    bo.join.kernel = base_kernel;
+    MafiaOptions ao = base_options();
+    ao.join.kernel = append_kernel;
+    const MafiaResult inc = run_base_then_append(base, all, dir.path(), ao, 2, &bo);
+    const MafiaResult full = run_pmafia(all_source, ao, 2);
+    ASSERT_EQ(inc.append.levels_reused, inc.levels.size());
+    expect_bit_identical(inc, full, all_source);
+
+    EXPECT_EQ(inc.join_kernel.bucketed_levels, full.join_kernel.bucketed_levels);
+    EXPECT_EQ(inc.join_kernel.pairwise_levels, full.join_kernel.pairwise_levels);
+    EXPECT_EQ(inc.join_kernel.buckets, full.join_kernel.buckets);
+    EXPECT_EQ(inc.join_kernel.probes, full.join_kernel.probes);
+    EXPECT_EQ(inc.join_kernel.emitted, full.join_kernel.emitted);
+    EXPECT_EQ(inc.join_kernel.repeats_fused, full.join_kernel.repeats_fused);
+    EXPECT_GT(append_kernel == JoinKernel::Bucketed
+                  ? inc.join_kernel.bucketed_levels
+                  : inc.join_kernel.pairwise_levels,
+              0u);
+    for (std::size_t i = 0; i < inc.levels.size(); ++i) {
+      EXPECT_EQ(inc.levels[i].join_buckets, full.levels[i].join_buckets);
+      EXPECT_EQ(inc.levels[i].join_probes, full.levels[i].join_probes);
+      EXPECT_EQ(inc.levels[i].join_emitted, full.levels[i].join_emitted);
+      EXPECT_EQ(inc.levels[i].join_repeats_fused,
+                full.levels[i].join_repeats_fused);
+    }
+  }
 }
 
 // ------------------------------------------------------- crash mid-append

@@ -133,6 +133,38 @@ CheckpointState sample_state() {
   return state;
 }
 
+/// sample_state() as a final checkpoint: `complete` set, with domains, a
+/// fine histogram, a two-level memo, and two provenance segments.
+CheckpointState final_state() {
+  CheckpointState state = sample_state();
+  state.complete = 1;
+  state.domain_lo = {0.0f, -5.5f};
+  state.domain_hi = {100.0f, 42.25f};
+  state.hist_counts = {3, 0, 7, 11, 1, 2, 0, 9};
+
+  AppendLevelMemo m1;
+  m1.level = 1;
+  m1.cdus = UnitStore(1);
+  for (BinId b = 0; b < 3; ++b) {
+    const DimId d[] = {0};
+    const BinId bb[] = {b};
+    m1.cdus.push(d, bb);
+  }
+  m1.counts = {10, 250, 31};
+  m1.flags = {0, 1, 1};
+  AppendLevelMemo m2;
+  m2.level = 2;
+  m2.cdus = UnitStore(2);
+  const DimId d01[] = {0, 1};
+  const BinId b12[] = {1, 2};
+  m2.cdus.push(d01, b12);
+  m2.counts = {120};
+  m2.flags = {1};
+  state.memo = {m1, m2};
+  state.provenance = {{"base.bin", 4000}, {"batch.bin", 40}};
+  return state;
+}
+
 TEST(CheckpointFormat, SerializeRoundTrip) {
   const CheckpointState in = sample_state();
   const auto bytes = serialize_checkpoint(in);
@@ -169,6 +201,34 @@ TEST(CheckpointFormat, SerializeRoundTrip) {
   EXPECT_EQ(out.populate.bitmap_subspaces, 2u);
   EXPECT_EQ(out.populate.bitmap_bytes, 4096u);
   EXPECT_EQ(out.populate.bitmap_words_anded, 320u);
+  EXPECT_EQ(out.complete, 0);
+  EXPECT_TRUE(out.memo.empty());
+
+  // The final checkpoint adds the append-base sections behind `complete`.
+  const CheckpointState fin_in = final_state();
+  const auto fin_bytes = serialize_checkpoint(fin_in);
+  const CheckpointState fin =
+      deserialize_checkpoint(fin_bytes.data(), fin_bytes.size());
+  EXPECT_EQ(fin.complete, 1);
+  EXPECT_EQ(fin.level, fin_in.level);
+  EXPECT_EQ(fin.levels.size(), fin_in.levels.size());
+  EXPECT_EQ(fin.domain_lo, fin_in.domain_lo);
+  EXPECT_EQ(fin.domain_hi, fin_in.domain_hi);
+  EXPECT_EQ(fin.hist_counts, fin_in.hist_counts);
+  ASSERT_EQ(fin.memo.size(), 2u);
+  for (std::size_t i = 0; i < fin.memo.size(); ++i) {
+    EXPECT_EQ(fin.memo[i].level, fin_in.memo[i].level);
+    EXPECT_EQ(fin.memo[i].cdus.k(), fin_in.memo[i].cdus.k());
+    EXPECT_EQ(fin.memo[i].cdus.dim_bytes(), fin_in.memo[i].cdus.dim_bytes());
+    EXPECT_EQ(fin.memo[i].cdus.bin_bytes(), fin_in.memo[i].cdus.bin_bytes());
+    EXPECT_EQ(fin.memo[i].counts, fin_in.memo[i].counts);
+    EXPECT_EQ(fin.memo[i].flags, fin_in.memo[i].flags);
+  }
+  ASSERT_EQ(fin.provenance.size(), 2u);
+  EXPECT_EQ(fin.provenance[0].path, "base.bin");
+  EXPECT_EQ(fin.provenance[0].records, 4000u);
+  EXPECT_EQ(fin.provenance[1].path, "batch.bin");
+  EXPECT_EQ(fin.provenance[1].records, 40u);
 }
 
 TEST(CheckpointFormat, RejectsCorruptionAsInputError) {
@@ -200,6 +260,21 @@ TEST(CheckpointFormat, RejectsCorruptionAsInputError) {
   EXPECT_THROW(
       (void)deserialize_checkpoint(bad_version.data(), bad_version.size()),
       InputError);
+
+  // A memo whose counts or flags do not cover its candidate units (the
+  // CRC is valid: the corruption is structural).
+  for (const bool short_counts : {true, false}) {
+    CheckpointState fin = final_state();
+    if (short_counts) {
+      fin.memo[1].counts.pop_back();
+    } else {
+      fin.memo[1].flags.push_back(0);
+    }
+    const auto fin_bytes = serialize_checkpoint(fin);
+    EXPECT_THROW(
+        (void)deserialize_checkpoint(fin_bytes.data(), fin_bytes.size()),
+        InputError);
+  }
 }
 
 TEST(CheckpointFormat, LoadLatestFallsBackPastCorruptFiles) {

@@ -453,7 +453,7 @@ TEST(CliErrors, UnknownPopulateKernelFails) {
   auto [status, out] =
       run_cli("cluster --data " + data + " --populate-kernel simd");
   EXPECT_EQ(status, 2) << out;
-  EXPECT_NE(out.find("must be auto, packed, memcmp, or bitmap"),
+  EXPECT_NE(out.find("must be auto, memcmp, or bitmap"),
             std::string::npos)
       << out;
   std::remove(data.c_str());

@@ -262,7 +262,7 @@ TEST(Invariance, PopulateKernelSelectionDoesNotChangeResults) {
   const MafiaResult expect = run_mafia(source, reference);
 
   for (const PopulateKernel kernel :
-       {PopulateKernel::Packed, PopulateKernel::Memcmp,
+       {PopulateKernel::Auto, PopulateKernel::Memcmp,
         PopulateKernel::Bitmap}) {
     for (const std::size_t block : {std::size_t{1}, std::size_t{37},
                                     std::size_t{4096}}) {

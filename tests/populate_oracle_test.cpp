@@ -35,8 +35,8 @@ std::vector<PopulateConfig> kernel_matrix() {
   return {
       {2048, PopulateKernel::Auto, 48},     // production defaults
       {1, PopulateKernel::Auto, 48},        // single-record blocks
-      {3, PopulateKernel::Packed, 1},       // odd blocks, hash table always
-      {64, PopulateKernel::Packed, kNever}, // sorted-array search always
+      {3, PopulateKernel::Auto, 1},       // odd blocks, hash table always
+      {64, PopulateKernel::Auto, kNever}, // sorted-array search always
       {2048, PopulateKernel::Memcmp, 48},   // forced byte-row fallback
       {7, PopulateKernel::Memcmp, 48},
       {2048, PopulateKernel::Bitmap, 48},   // bitmap index, large blocks
@@ -238,7 +238,7 @@ TEST(PopulateOracle, HashTableKeepsHeadroomAtPowerOfTwoMemberCounts) {
   const std::vector<Value> rows = random_rows(rng, 1500, 6);
   const std::vector<Count> expected =
       oracle_counts(grids, cdus, rows.data(), 1500);
-  const PopulateConfig force_hash{2048, PopulateKernel::Packed, 1};
+  const PopulateConfig force_hash{2048, PopulateKernel::Auto, 1};
   UnitPopulator pop(grids, cdus, force_hash);
   pop.accumulate(rows.data(), 1500);
   ASSERT_EQ(pop.counts().size(), expected.size());

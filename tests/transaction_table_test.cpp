@@ -9,7 +9,8 @@
 // fallback are covered on both triggers (the partition share and
 // --max-cdu-bytes), on an adversarial all-distinct dataset, on a dataset
 // where only some ranks fall back, across kill-and-resume at every
-// collective, and under append with the reuse chain intact and broken.
+// collective, and under append with every level reused and with levels
+// rerun.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -121,8 +122,8 @@ std::vector<PopulateConfig> table_kernels() {
   return {
       {2048, PopulateKernel::Auto, 48},
       {1, PopulateKernel::Auto, 48},
-      {3, PopulateKernel::Packed, 1},
-      {64, PopulateKernel::Packed, kNever},
+      {3, PopulateKernel::Auto, 1},
+      {64, PopulateKernel::Auto, kNever},
       {2048, PopulateKernel::Memcmp, 48},
       {7, PopulateKernel::Memcmp, 48},
   };
@@ -721,8 +722,9 @@ TEST(TransactionTableDriver, AppendWithTheReuseChainIntactBuildsNoTable) {
 
 TEST(TransactionTableDriver, AppendWithTheReuseChainBrokenSweepsTheTable) {
   // An all-distinct batch makes every bin of every dim dense: the level-1
-  // flags change, the chain breaks, and level 2 on rebuilds over the full
-  // concatenated partition — on the table where it fits.
+  // flags change, so level 2's candidates differ from the stored ones and
+  // it rebuilds over the full concatenated partition — on the table where
+  // it fits.
   const Dataset base = planted_data(4000);
   Dataset batch(6);
   append_distinct_rows(batch, 300, 41);

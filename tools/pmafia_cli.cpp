@@ -278,14 +278,12 @@ MafiaOptions options_from_args(const Args& args) {
     const std::string kernel = args.get("populate-kernel");
     if (kernel == "auto") {
       o.populate.kernel = PopulateKernel::Auto;
-    } else if (kernel == "packed") {
-      o.populate.kernel = PopulateKernel::Packed;
     } else if (kernel == "memcmp") {
       o.populate.kernel = PopulateKernel::Memcmp;
     } else if (kernel == "bitmap") {
       o.populate.kernel = PopulateKernel::Bitmap;
     } else {
-      require(false, "--populate-kernel must be auto, packed, memcmp, or bitmap");
+      require(false, "--populate-kernel must be auto, memcmp, or bitmap");
     }
   }
   if (args.has("join-kernel")) {
@@ -727,7 +725,7 @@ void usage() {
       "           [--alpha A] [--beta B] [--fine-bins N] [--window-cells W]\n"
       "           [--noise-sigmas S] [--min-dims K] [--chunk B]\n"
       "           [--domain-lo L --domain-hi H] [--xi N --tau F]\n"
-      "           [--populate-kernel auto|packed|memcmp|bitmap]\n"
+      "           [--populate-kernel auto|memcmp|bitmap]\n"
       "           [--join-kernel bucketed|pairwise]\n"
       "           [--save model.txt] [--report-json report.json]\n"
       "           [--io-prefetch] [--io-buffers N]\n"
