@@ -9,8 +9,10 @@
 // scan-compute seconds C and bytes B of this machine, and the throttle is
 // set to B/(1.5C) so every pass is clearly read-bound (read ~ 1.5x
 // compute).  That spreads the reads evenly over the passes, so it holds
-// only while the record passes carry comparable compute (see
-// base_options).  Double buffering then pays max(read, compute) ~ read per pass
+// only while the record passes carry comparable compute: here they are
+// the histogram, the level-1 bitmap sweep and the transaction-table build,
+// each light per record (levels >= 2 sweep the in-memory table and read
+// nothing).  Double buffering then pays max(read, compute) ~ read per pass
 // instead of read + compute, predicting (1.5C + C)/1.5C ~ 1.67x end to
 // end; per-sleep scheduler overshoot trims the measurement to a steady
 // ~1.4x — comfortably above the 1.3x gate on any machine, because both
@@ -53,15 +55,10 @@ GeneratorConfig workload(RecordIndex records) {
 MafiaOptions base_options() {
   MafiaOptions o;
   o.fixed_domain = {{0.0f, 100.0f}};
-  // The bitmap kernel is the one populate path that still reads the
-  // records at every level (the lookup kernels sweep the in-memory
-  // transaction table from level 2 on), so the run keeps one record pass
-  // per level, each with comparable compute — the shape the calibration
-  // assumes.  Its per-record compute is light, so chunks are large
+  // The bitmap sweep's per-record compute is light, so chunks are large
   // enough for the calibrated throttle to sleep long enough to time
   // reliably.
   o.chunk_records = 8192;
-  o.populate.kernel = PopulateKernel::Bitmap;
   return o;
 }
 

@@ -1,24 +1,31 @@
-// Populate-kernel A/B/C: packed integer keys vs the memcmp binary-search
-// fallback vs the bitmap index (one nrows-bit bitset per used (dim,bin)
-// pair, counts by AND+popcount), on the paper's Figure 3 workload (30-d
+// Populate sweeps by row source, on the paper's Figure 3 workload (30-d
 // data, 5 clusters each in a different 6-d subspace) — the phase the paper
-// calls out as "the bulk of the time" (Section 5.3).
+// calls out as "the bulk of the time" (Section 5.3).  Records stream
+// through the bitmap sweep (one block_records-bit bitset per used
+// (dim, bin) pair, counts by AND+popcount); a transaction table sweeps
+// through the lookups (packed keys up to k = 8, memcmp rows past it).
 //
-// Three measurements, all recorded as pmafia-bench-v1 rows in
+// The table here is keyed on every (dim, bin) of the grid.  Records of
+// this workload are uniform outside their cluster's six dims, so nearly
+// every record keeps its own row and the lookups see about as many rows as
+// the bitmap sees records: the comparison is per row, not a measure of the
+// table's compression.  The table build (binning, merging) is excluded.
+//
+// Two measurements, recorded as pmafia-bench-v1 rows in
 // BENCH_populate.json (the committed rows are the baselines
 // scripts/bench_gate.py compares fresh runs against):
-//   * micro     — UnitPopulator::accumulate alone over a fixed CDU store,
-//     isolating the kernels from scan/driver overhead;
-//   * e2e       — full driver runs with the kernel forced each way; the
-//     populate-phase seconds come from the run's own phase trace;
-//   * crossover — the bitmap index amortizes its per-record bit writes
+//   * micro     — UnitPopulator::accumulate alone over fixed CDU stores:
+//     bitmap over the records and packed over the table for a k = 3 store,
+//     memcmp over the table for a k = 9 store;
+//   * crossover — the bitmap sweep amortizes its per-record bit writes
 //     over every CDU sharing a bin, so it wins when the candidate set is
 //     bin-dense and loses when few CDUs share bins (the AND work grows
-//     with used bins x records while the lookup kernels only pay per
-//     subspace).  The sweep scales the CDU count at fixed records and
-//     prints the used-bins x records product where bitmaps stop winning.
+//     with used bins x records while the lookups only pay per subspace).
+//     The sweep scales the CDU count at fixed records and prints the
+//     used-bins x records product where bitmaps stop winning.
 #include "bench_common.hpp"
 
+#include <limits>
 #include <numeric>
 
 #include "common/timer.hpp"
@@ -28,21 +35,11 @@
 #include "rng/distributions.hpp"
 #include "rng/icg.hpp"
 #include "units/populate.hpp"
+#include "units/transaction_table.hpp"
 
 namespace {
 
 using namespace mafia;
-
-struct KernelCase {
-  PopulateKernel kernel;
-  const char* name;
-};
-
-constexpr KernelCase kKernels[] = {
-    {PopulateKernel::Auto, "packed"},
-    {PopulateKernel::Memcmp, "memcmp"},
-    {PopulateKernel::Bitmap, "bitmap"},
-};
 
 /// Random CDU store of dimensionality k with valid bins under `grids`.
 UnitStore make_cdus(IcgRandom& rng, const GridSet& grids, std::size_t k,
@@ -66,24 +63,42 @@ UnitStore make_cdus(IcgRandom& rng, const GridSet& grids, std::size_t k,
   return cdus;
 }
 
-/// Times `reps` accumulate passes of one kernel configuration; returns
-/// records per second.  counts() is drained once at the end so the bitmap
-/// kernel's lazy AND+popcount finalize is inside the measurement.
-double micro_throughput(const GridSet& grids, const UnitStore& cdus,
-                        const Dataset& data, PopulateKernel kernel,
-                        std::size_t reps, double* out_seconds) {
-  PopulateConfig cfg;
-  cfg.kernel = kernel;
-  UnitPopulator pop(grids, cdus, cfg);
-  const auto nrows = static_cast<std::size_t>(data.num_records());
+/// Every (dim, bin) of `grids` as a 1-d unit: a table keyed on it covers
+/// any CDU store over the grid.
+UnitStore all_items(const GridSet& grids) {
+  UnitStore items(1);
+  for (std::size_t j = 0; j < grids.num_dims(); ++j) {
+    for (std::size_t b = 0; b < grids[j].num_bins(); ++b) {
+      const auto dj = static_cast<DimId>(j);
+      const auto bb = static_cast<BinId>(b);
+      items.push_unchecked(&dj, &bb);
+    }
+  }
+  return items;
+}
+
+/// Times `reps` accumulate passes over the records (table == nullptr) or
+/// the table; returns rows swept per second and the final counts.
+double sweep_throughput(const GridSet& grids, const UnitStore& cdus,
+                        const Dataset& data, const TransactionTable* table,
+                        std::size_t reps, double* out_seconds,
+                        std::vector<Count>* out_counts = nullptr) {
+  UnitPopulator pop(grids, cdus);
+  const std::size_t rows = table != nullptr
+                               ? table->rows()
+                               : static_cast<std::size_t>(data.num_records());
   Timer t;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    pop.accumulate(data.values().data(), nrows);
+    if (table != nullptr) {
+      pop.accumulate(*table);
+    } else {
+      pop.accumulate(data.values().data(), rows);
+    }
   }
-  const Count sink = pop.counts().empty() ? 0 : pop.counts()[0];
-  const double secs = t.seconds() + static_cast<double>(sink) * 0.0;
+  const double secs = t.seconds();
   *out_seconds = secs;
-  return static_cast<double>(nrows) * static_cast<double>(reps) / secs;
+  if (out_counts != nullptr) *out_counts = pop.counts();
+  return static_cast<double>(rows) * static_cast<double>(reps) / secs;
 }
 
 /// Wraps a micro measurement in the bench JSONL schema: a minimal result
@@ -105,9 +120,9 @@ int main() {
   using namespace mafia;
 
   bench::print_header(
-      "Populate kernel — packed keys vs memcmp search vs bitmap index",
+      "Populate sweeps — bitmap over records vs lookups over a table",
       "Section 5.3: populate dominates; 30-d, 5 clusters in 6-d subspaces",
-      "same fig3 structure, kernel A/B/C at equal work");
+      "same fig3 structure, each sweep at equal work");
 
   const RecordIndex records = bench::scaled(100000);
   const GeneratorConfig cfg = workloads::fig3_parallel(records);
@@ -116,104 +131,90 @@ int main() {
 
   MafiaOptions options;
   options.fixed_domain = {{0.0f, 100.0f}};
-
-  // ---- e2e: full driver, kernel forced each way.  The packed run also
-  // reports which kernels its subspaces selected.
-  double e2e_secs[3] = {0, 0, 0};
-  std::size_t e2e_levels = 1;
-  std::printf("\n[e2e] full driver on %llu records\n",
-              static_cast<unsigned long long>(data.num_records()));
-  std::printf("%-10s %-14s %-12s %-10s %s\n", "kernel", "populate(s)",
-              "total(s)", "levels", "subspaces sorted/hash/memcmp/bitmap");
-  for (std::size_t i = 0; i < 3; ++i) {
-    MafiaOptions o = options;
-    o.populate.kernel = kKernels[i].kernel;
-    const MafiaResult r = run_mafia(source, o);
-    const double pop_secs = r.phases.get("populate");
-    e2e_secs[i] = pop_secs;
-    e2e_levels = r.levels.empty() ? 1 : r.levels.size();
-    std::printf("%-10s %-14.3f %-12.3f %-10zu %zu/%zu/%zu/%zu\n",
-                kKernels[i].name, pop_secs, r.total_seconds, r.levels.size(),
-                r.populate_kernel.packed_sorted_subspaces,
-                r.populate_kernel.packed_hash_subspaces,
-                r.populate_kernel.memcmp_subspaces,
-                r.populate_kernel.bitmap_subspaces);
-    bench::append_bench_json("populate", r,
-                             std::string("e2e-kernel=") + kKernels[i].name);
-  }
-  const double e2e_speedup = e2e_secs[1] / e2e_secs[0];
-  const double e2e_tp =
-      static_cast<double>(data.num_records()) *
-      static_cast<double>(e2e_levels) / e2e_secs[0];
-  std::printf("populate speedup (e2e): packed %.2fx vs memcmp, "
-              "bitmap %.2fx vs packed  (packed: %.0f record-level "
-              "passes/s)\n", e2e_speedup, e2e_secs[0] / e2e_secs[2], e2e_tp);
-
-  // ---- micro: the kernels alone, on a fixed CDU store shaped like a
-  // mid-level candidate set (many small subspaces plus a few large ones).
   const MafiaResult ref = run_mafia(source, options);
+  const auto nrecords = static_cast<std::size_t>(data.num_records());
+
+  TransactionTable table(ref.grids, all_items(ref.grids),
+                         std::numeric_limits<std::size_t>::max());
+  table.accumulate(data.values().data(), nrecords);
+  table.finish();
+
+  // ---- micro: each sweep alone, on fixed CDU stores shaped like a
+  // mid-level candidate set (many small subspaces plus a few large ones).
   IcgRandom rng(77);
-  UnitStore cdus = make_cdus(rng, ref.grids, 3, 600);
+  const UnitStore cdus = make_cdus(rng, ref.grids, 3, 600);
+  const UnitStore wide = make_cdus(rng, ref.grids, 9, 600);
   const std::size_t reps = std::max<std::size_t>(1,
       static_cast<std::size_t>(3.0 * bench::scale()));
 
-  std::printf("\n[micro] accumulate only: %zu CDUs (k=3), %zu subspaces, "
-              "%zu reps\n", cdus.size(),
-              UnitPopulator(ref.grids, cdus).num_subspaces(), reps);
-  std::printf("%-10s %-14s %s\n", "kernel", "seconds", "records/s");
-  double micro_secs[3] = {0, 0, 0};
+  struct MicroCase {
+    const char* name;
+    const char* tag;
+    const UnitStore* cdus;
+    const TransactionTable* table;
+  };
+  const MicroCase cases[] = {
+      {"bitmap", "micro-kernel=bitmap", &cdus, nullptr},
+      {"packed", "micro-kernel=packed", &cdus, &table},
+      {"memcmp", "micro-kernel=memcmp-k9", &wide, &table}};
+  std::printf("\n[micro] accumulate only: %zu CDUs each (k=3 for bitmap and "
+              "packed, k=9 for memcmp), %zu records, %zu table rows, %zu "
+              "reps\n", cdus.size(), nrecords, table.rows(), reps);
+  std::printf("%-10s %-8s %-14s %s\n", "sweep", "source", "seconds", "rows/s");
   double micro_tp[3] = {0, 0, 0};
+  std::vector<Count> counts[3];
   for (std::size_t i = 0; i < 3; ++i) {
-    micro_tp[i] = micro_throughput(ref.grids, cdus, data, kKernels[i].kernel,
-                                   reps, &micro_secs[i]);
-    std::printf("%-10s %-14.3f %.3e\n", kKernels[i].name, micro_secs[i],
-                micro_tp[i]);
-    record_micro(std::string("micro-kernel=") + kKernels[i].name,
-                 micro_secs[i],
-                 static_cast<std::size_t>(data.num_records()) * reps,
-                 data.num_dims());
+    const MicroCase& c = cases[i];
+    double secs = 0.0;
+    micro_tp[i] = sweep_throughput(ref.grids, *c.cdus, data, c.table, reps,
+                                   &secs, &counts[i]);
+    std::printf("%-10s %-8s %-14.3f %.3e\n", c.name,
+                c.table != nullptr ? "table" : "records", secs, micro_tp[i]);
+    const std::size_t rows = c.table != nullptr ? c.table->rows() : nrecords;
+    record_micro(c.tag, secs, rows * reps, data.num_dims());
   }
-  std::printf("kernel speedup (micro): packed %.2fx vs memcmp, "
-              "bitmap %.2fx vs packed\n", micro_tp[0] / micro_tp[1],
-              micro_tp[2] / micro_tp[0]);
+  std::printf("per-row speed (micro): bitmap %.2fx vs packed\n",
+              micro_tp[0] / micro_tp[1]);
+  // Same store, same records: both row sources must count alike.
+  const bool agree = counts[0] == counts[1];
+  std::printf("bitmap and packed counts %s\n",
+              agree ? "agree" : "DIFFER (bug)");
 
   // ---- crossover: scale the candidate set (and with it the used-bin
   // count driving the bitmap AND work) at fixed records; the bitmap wins
-  // while CDUs-per-used-bin stays high and loses once the index outgrows
-  // the lookup tables' touched working set.
-  std::printf("\n[crossover] bitmap vs packed at fixed %llu records, k=3\n",
-              static_cast<unsigned long long>(data.num_records()));
+  // while CDUs-per-used-bin stays high and loses once few CDUs share the
+  // bins it indexes.
+  std::printf("\n[crossover] bitmap (records) vs packed (table) at fixed "
+              "%zu records, k=3\n", nrecords);
   std::printf("%-8s %-10s %-14s %-14s %s\n", "cdus", "used-bins",
-              "bitmap rec/s", "packed rec/s", "bitmap/packed");
+              "bitmap rows/s", "packed rows/s", "bitmap/packed");
   double crossover_bins_records = 0.0;
   for (const std::size_t ncdus : {4u, 12u, 50u, 200u, 800u, 3200u}) {
     IcgRandom sweep_rng(900 + ncdus);
     const UnitStore sweep = make_cdus(sweep_rng, ref.grids, 3, ncdus);
-    PopulateConfig bitmap_cfg;
-    bitmap_cfg.kernel = PopulateKernel::Bitmap;
-    const UnitPopulator probe(ref.grids, sweep, bitmap_cfg);
-    // One 64-bit word per bitmap at nrows = 64, so the byte delta over the
-    // empty index divides back out to the distinct-(dim,bin) count.
+    // A 65-record block takes one 64-bit word more per used (dim, bin)
+    // pair than a 1-record block; nothing else depends on the block size.
     const std::size_t used_bins =
-        (probe.auxiliary_bytes(64) - probe.auxiliary_bytes(0)) /
+        (UnitPopulator(ref.grids, sweep, {65, 48}).auxiliary_bytes() -
+         UnitPopulator(ref.grids, sweep, {1, 48}).auxiliary_bytes()) /
         sizeof(std::uint64_t);
     double b_secs = 0.0, p_secs = 0.0;
-    const double b_tp = micro_throughput(ref.grids, sweep, data,
-                                         PopulateKernel::Bitmap, 1, &b_secs);
-    const double p_tp = micro_throughput(ref.grids, sweep, data,
-                                         PopulateKernel::Auto, 1, &p_secs);
+    const double b_tp =
+        sweep_throughput(ref.grids, sweep, data, nullptr, 1, &b_secs);
+    const double p_tp =
+        sweep_throughput(ref.grids, sweep, data, &table, 1, &p_secs);
     const double ratio = b_tp / p_tp;
     std::printf("%-8zu %-10zu %-14.3e %-14.3e %.2f\n", ncdus, used_bins,
                 b_tp, p_tp, ratio);
     if (ratio < 1.0) {
       crossover_bins_records = static_cast<double>(used_bins) *
-                               static_cast<double>(data.num_records());
+                               static_cast<double>(nrecords);
     }
   }
   if (crossover_bins_records > 0.0) {
     std::printf("bitmap stops winning below ~%.2e used-bins x records "
-                "(sparse candidate sets: the index build outweighs the "
-                "few lookups it replaces)\n", crossover_bins_records);
+                "(sparse candidate sets: the bitset writes outweigh the "
+                "few lookups they replace)\n", crossover_bins_records);
   } else {
     std::printf("bitmap won at every sweep point (crossover below "
                 "4 CDUs at this record count)\n");
@@ -222,5 +223,5 @@ int main() {
   std::printf("\nrows appended to BENCH_populate.json "
               "(scripts/bench_gate.py compares against the committed "
               "baselines).\n");
-  return e2e_speedup >= 1.0 ? 0 : 1;
+  return agree ? 0 : 1;
 }

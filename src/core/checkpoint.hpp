@@ -16,13 +16,13 @@
 //   [16.. ]  payload: fingerprint, data shape, loop state (including the
 //            pending join-stats carried into the next level trace), grids,
 //            unit stores, level traces, registered maximal units,
-//            populate-kernel counters, join-kernel counters, and — when the
+//            populate kernel counters, join-kernel counters, and — when the
 //            `complete` flag is set — the append-base sections: attribute
 //            domains, the global fine histogram, one AppendLevelMemo per
 //            executed level (candidate units, counts, dense flags), and
 //            the data-segment provenance
 // (Version 2 added the join-kernel work counters; version 3 added the
-// per-level populate-kernel id, bitmap-index footprint/AND-work counters,
+// per-level populate kernel id, bitmap-index footprint/AND-work counters,
 // and the unjoined-dense-unit count + capped printable list; version 4
 // added the `complete` flag and the append-base sections behind it;
 // version 5 dropped the join artifacts — parent links, dedup map, pending
@@ -52,12 +52,11 @@
 // The options fingerprint covers every knob that changes the computed
 // state (grid parameters, density policy, join rule, dedup policy, tau,
 // partitioning, max_level, domains, MDL pruning) and deliberately excludes
-// knobs that provably don't (chunk size B, populate kernel selection and
-// tuning — packed, memcmp, and bitmap produce bit-identical counts — join
-// kernel selection — bucketed and pairwise joins are bit-identical — and
-// rank count p; the determinism suite pins result invariance across all
-// four), so a resume may legally change them, including switching
-// --populate-kernel across the resume boundary.
+// knobs that provably don't (chunk size B, populate tuning — every sweep
+// and block size produces bit-identical counts — join kernel selection —
+// bucketed and pairwise joins are bit-identical — and rank count p; the
+// determinism suite pins result invariance across all four), so a resume
+// may legally change them.
 #pragma once
 
 #include <cstdint>

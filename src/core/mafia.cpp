@@ -366,23 +366,18 @@ class MafiaWorker {
       // ---- Populate candidates (data parallel): each rank scans its N/p
       // records in B-record chunks, then Reduce globalizes the counts.
       UnitPopulator populator(grids_, cdus, opt_.populate);
-      // Kernel auxiliary memory (dominant under the bitmap kernel, whose
-      // index is used_bins × nrows bits) joins the budget.  Sized for the
-      // worst-case partition, not this rank's, so the collective guard
-      // throws on every rank or none.
-      check_budget(level, populator.auxiliary_component(),
-                   populator.auxiliary_bytes(ceil_div(
-                       static_cast<std::size_t>(n),
-                       static_cast<std::size_t>(p))));
+      // The populator's lookups and bitmap block join the budget.  They
+      // follow from the replicated CDU store alone, so the collective guard
+      // throws on every rank or none, whichever row source each rank uses.
+      check_budget(level, "populate lookups and bitmap block",
+                   populator.auxiliary_bytes());
       std::uint8_t populate_source = kPopulateSourceRecords;
       std::size_t populate_rows = 0;
       {
         PhaseTracer::Scope sp(tracer_, "populate");
         // The first level >= 2 that needs the full partition builds the
-        // table from its own CDUs; it and every later level sweep it.  The
-        // bitmap kernel's index is over record ids, so it streams.
-        if (base == nullptr && level >= 2 && !table_attempted_ &&
-            opt_.populate.kernel != PopulateKernel::Bitmap) {
+        // table from its own CDUs; it and every later level sweep it.
+        if (base == nullptr && level >= 2 && !table_attempted_) {
           table = build_table(cdus, level);
         }
         if (base == nullptr && table) {
@@ -408,8 +403,6 @@ class MafiaWorker {
         ++(base != nullptr ? append_stats_.levels_reused
                            : append_stats_.levels_rerun);
       }
-      // Merge kernel stats only after counts() finalized the scan (the
-      // bitmap kernel's AND-work counter is filled by that finalization).
       populate_stats_.merge(populator.kernel_stats());
 
       // ---- Identify dense units (task parallel, Algorithm 5).
@@ -457,7 +450,7 @@ class MafiaWorker {
         t.join_probes = pending_join.probes;
         t.join_emitted = pending_join.emitted;
         t.join_repeats_fused = pending_join.repeats_fused;
-        t.populate_kernel = populator.effective_kernel();
+        t.populate_kernel = populate_kernel_for(populate_source, level);
         t.bitmap_bytes = populator.kernel_stats().bitmap_bytes;
         t.bitmap_words_anded = populator.kernel_stats().bitmap_words_anded;
         t.populate_source = populate_source;  // rank-local until the ledger
@@ -722,7 +715,8 @@ class MafiaWorker {
   }
 
   /// Parent only: folds every rank's ledger (rank-major, `width` words
-  /// each) into the run's populate stats and level trace.
+  /// each) into the run's populate stats and level trace.  A level's
+  /// kernel follows its reconciled row source.
   void apply_populate_ledgers(const std::vector<std::uint64_t>& all,
                               std::size_t width) {
     for (std::size_t i = 0; i < trace_.size(); ++i) {
@@ -743,6 +737,9 @@ class MafiaWorker {
         }
         t.populate_rows += all[at + 5 + 2 * i];
       }
+    }
+    for (LevelTrace& t : trace_) {
+      t.populate_kernel = populate_kernel_for(t.populate_source, t.level);
     }
   }
 

@@ -144,10 +144,11 @@ struct MafiaOptions {
   /// io stats in the run report show the split.
   IoConfig io;
 
-  /// Populate-kernel tuning: the record-block size of the subspace-major
-  /// sweep and the lookup-kernel selection (Auto = packed integer keys for
-  /// k <= 8 subspaces, byte-row memcmp beyond).  The chosen kernels are
-  /// surfaced in the run report's populate_kernel object.
+  /// Populate tuning: the block size of both sweeps and the hash-lookup
+  /// threshold.  The row source picks the sweep — streamed records count
+  /// through the bitmap sweep, a transaction table through the packed
+  /// lookups (memcmp rows past k = 8) — and the report's populate_kernel
+  /// object says which ran.
   PopulateConfig populate;
 
   /// tau: below this many units, task-parallel phases degenerate to every
@@ -195,9 +196,8 @@ struct MafiaOptions {
   std::size_t min_cluster_dims = 2;
 
   /// Level-checkpoint/restart: see CheckpointConfig.  Checkpoint contents
-  /// are independent of chunk_records, populate kernel selection/tuning,
-  /// and rank count (results are invariant to all three), so a resume may
-  /// change them — including switching --populate-kernel mid-run.
+  /// are independent of chunk_records, populate tuning, and rank count
+  /// (results are invariant to all three), so a resume may change them.
   CheckpointConfig checkpoint;
 
   /// Incremental append-batch mode (see AppendConfig).  Requires a
@@ -209,10 +209,13 @@ struct MafiaOptions {
 
   /// Graceful degradation: hard cap, in bytes, on one level's memory
   /// components — the CDU stores (dim/bin byte arrays plus the count
-  /// vector) and the kernels' auxiliary structures (the populate bitmap
-  /// index sized for the worst-case partition, the join bucket index).
+  /// vector) and the kernels' auxiliary structures (the populator's
+  /// lookups, bitmap ids and one block of bitsets; the join bucket index).
+  /// All of them follow from replicated state, so every rank throws alike.
   /// Exceeding it throws mafia::ResourceError naming the level and the
-  /// offending component instead of OOM-ing mid-allocation.  0 = unlimited.
+  /// offending component instead of OOM-ing mid-allocation.  The
+  /// transaction table is capped by it too, but past its cap a rank
+  /// streams records instead of throwing.  0 = unlimited.
   std::size_t max_cdu_bytes = 0;
 
   /// SPMD transport selection and robustness knobs (see MpConfig).

@@ -38,6 +38,15 @@ inline constexpr std::size_t kMaxUnjoinedListed = 32;
 inline constexpr std::uint8_t kPopulateSourceRecords = 0;
 inline constexpr std::uint8_t kPopulateSourceTable = 1;
 
+/// The sweep a level's populate ran on, from its row source and unit
+/// dimensionality k: records stream through the bitmap sweep, a table
+/// through the packed lookups, or the memcmp rows past kPackedKeyMaxDims.
+[[nodiscard]] inline std::uint8_t populate_kernel_for(std::uint8_t source,
+                                                      std::size_t k) {
+  if (source != kPopulateSourceTable) return kPopulateKernelBitmap;
+  return k <= kPackedKeyMaxDims ? kPopulateKernelPacked : kPopulateKernelMemcmp;
+}
+
 /// Report name of a LevelTrace::populate_source id.
 [[nodiscard]] inline const char* populate_source_name(std::uint8_t id) {
   return id == kPopulateSourceTable ? "table" : "records";
@@ -62,11 +71,12 @@ struct LevelTrace {
   std::uint64_t join_probes = 0;
   std::uint64_t join_emitted = 0;
   std::uint64_t join_repeats_fused = 0;
-  /// Kernel family the level's populate ran on (kPopulateKernel*); Auto and
-  /// the k > 8 packed fallback are resolved before recording.
+  /// Sweep the level's populate ran on (kPopulateKernel*), derived from
+  /// populate_source and k by populate_kernel_for: bitmap when any rank
+  /// streamed records, otherwise packed, or memcmp past k = 8.
   std::uint8_t populate_kernel = kPopulateKernelPacked;
-  /// Bitmap-index footprint and AND-reduction work for this level's
-  /// populate (zero unless the bitmap kernel ran).
+  /// The parent rank's bitmap-sweep footprint and AND-reduction work for
+  /// this level (zero when that rank swept its table).
   std::uint64_t bitmap_bytes = 0;
   std::uint64_t bitmap_words_anded = 0;
   /// What the level's populate swept, summed over ranks at the end of the

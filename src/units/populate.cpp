@@ -32,7 +32,7 @@ static_assert(std::is_trivially_copyable_v<BinId> &&
               "UnitPopulator compares bin rows with memcmp; BinId must have "
               "no padding bits");
 
-// The bitmap kernel indexes bin_map_ as dim * kMaxBinsPerDim + bin, so a
+// The bitmap sweep indexes bin_map_ as dim * kMaxBinsPerDim + bin, so a
 // BinId must not be able to exceed the per-dimension stride.
 static_assert(sizeof(BinId) == 1 && kMaxBinsPerDim == 256,
               "bitmap bin_map_ stride assumes byte-wide bin ids");
@@ -42,7 +42,7 @@ namespace {
 /// Empty-slot sentinel of the open-addressing tables.
 constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
-/// "(dim, bin) used by no CDU" sentinel of the bitmap kernel's bin map.
+/// "(dim, bin) used by no CDU" sentinel of the bitmap sweep's bin map.
 constexpr std::uint32_t kNoBitmap = 0xffffffffu;
 
 /// Branchless lower bound over a sorted uint64 array: the comparison feeds
@@ -61,18 +61,16 @@ inline std::size_t lower_bound_u64(const std::uint64_t* a, std::size_t n,
 
 // ------------------------------------------------ bitmap AND + popcount
 //
-// popcount(bm[0][w] & ... & bm[k-1][w]) summed over the word range
-// [w0, w1).  The portable path is the semantic definition; the SIMD paths
+// popcount(bm[0][w] & ... & bm[k-1][w]) summed over the words [0, words).  The portable path is the semantic definition; the SIMD paths
 // widen the AND to 256 bits (AVX2) or 128 bits (NEON) and must produce
 // identical sums.  Building with PMAFIA_DISABLE_SIMD compiles only the
 // portable path (the sanitizer CI leg exercises it on every host).
 
 using BitmapPtrs = const std::uint64_t* const*;
 
-Count and_popcount_portable(BitmapPtrs bm, std::size_t k, std::size_t w0,
-                            std::size_t w1) {
+Count and_popcount_portable(BitmapPtrs bm, std::size_t k, std::size_t words) {
   Count c = 0;
-  for (std::size_t w = w0; w < w1; ++w) {
+  for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t x = bm[0][w];
     for (std::size_t i = 1; i < k; ++i) x &= bm[i][w];
     c += static_cast<Count>(std::popcount(x));
@@ -83,10 +81,10 @@ Count and_popcount_portable(BitmapPtrs bm, std::size_t k, std::size_t w0,
 #if defined(__x86_64__) && !defined(PMAFIA_DISABLE_SIMD)
 
 __attribute__((target("avx2,popcnt"))) Count and_popcount_avx2(
-    BitmapPtrs bm, std::size_t k, std::size_t w0, std::size_t w1) {
+    BitmapPtrs bm, std::size_t k, std::size_t words) {
   Count c = 0;
-  std::size_t w = w0;
-  for (; w + 4 <= w1; w += 4) {
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
     __m256i x =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bm[0] + w));
     for (std::size_t i = 1; i < k; ++i) {
@@ -99,7 +97,7 @@ __attribute__((target("avx2,popcnt"))) Count and_popcount_avx2(
         _mm_popcnt_u64(lanes[0]) + _mm_popcnt_u64(lanes[1]) +
         _mm_popcnt_u64(lanes[2]) + _mm_popcnt_u64(lanes[3]));
   }
-  for (; w < w1; ++w) {
+  for (; w < words; ++w) {
     std::uint64_t x = bm[0][w];
     for (std::size_t i = 1; i < k; ++i) x &= bm[i][w];
     c += static_cast<Count>(_mm_popcnt_u64(x));
@@ -109,18 +107,17 @@ __attribute__((target("avx2,popcnt"))) Count and_popcount_avx2(
 
 #elif defined(__aarch64__) && !defined(PMAFIA_DISABLE_SIMD)
 
-Count and_popcount_neon(BitmapPtrs bm, std::size_t k, std::size_t w0,
-                        std::size_t w1) {
+Count and_popcount_neon(BitmapPtrs bm, std::size_t k, std::size_t words) {
   Count c = 0;
-  std::size_t w = w0;
-  for (; w + 2 <= w1; w += 2) {
+  std::size_t w = 0;
+  for (; w + 2 <= words; w += 2) {
     uint64x2_t x = vld1q_u64(bm[0] + w);
     for (std::size_t i = 1; i < k; ++i) x = vandq_u64(x, vld1q_u64(bm[i] + w));
     // vcntq_u8 counts per byte; the 16 byte-counts sum to at most 128, so
     // the across-vector byte add cannot wrap.
     c += static_cast<Count>(vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(x))));
   }
-  for (; w < w1; ++w) {
+  for (; w < words; ++w) {
     std::uint64_t x = bm[0][w];
     for (std::size_t i = 1; i < k; ++i) x &= bm[i][w];
     c += static_cast<Count>(std::popcount(x));
@@ -130,8 +127,7 @@ Count and_popcount_neon(BitmapPtrs bm, std::size_t k, std::size_t w0,
 
 #endif
 
-using AndPopcountFn = Count (*)(BitmapPtrs, std::size_t, std::size_t,
-                                std::size_t);
+using AndPopcountFn = Count (*)(BitmapPtrs, std::size_t, std::size_t);
 
 /// Resolves the AND+popcount implementation once per process: AVX2+POPCNT
 /// when the host supports it, NEON on AArch64, std::popcount otherwise.
@@ -152,17 +148,14 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
                              const PopulateConfig& config)
     : grids_(grids),
       k_(cdus.k()),
-      packed_(cdus.k() <= kPackedKeyMaxDims &&
-              config.kernel == PopulateKernel::Auto),
-      bitmap_(config.kernel == PopulateKernel::Bitmap),
+      packed_(cdus.k() <= kPackedKeyMaxDims),
       cfg_(config),
       counts_(cdus.size(), 0),
-      dim_used_(grids.num_dims(), 0),
-      key_scratch_(cdus.k()) {
+      key_scratch_(cdus.k()),
+      bin_map_(grids.num_dims() * kMaxBinsPerDim, kNoBitmap),
+      block_words_((config.block_records + 63) / 64) {
   require(cfg_.block_records >= 1, "UnitPopulator: block_records must be positive");
   stats_.block_records = cfg_.block_records;
-  col_bins_.resize(grids.num_dims() * cfg_.block_records);
-  if (bitmap_) bin_map_.assign(grids.num_dims() * kMaxBinsPerDim, kNoBitmap);
   std::uint32_t num_bitmaps = 0;
 
   // Group CDU indices by dimension set.
@@ -177,11 +170,10 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
   for (auto& [dims, members] : by_subspace) {
     Subspace sub;
     sub.dims = dims;
-    for (const DimId d : dims) dim_used_[d] = 1;
 
-    // Lex-sort the member CDUs by their bin rows so record lookup is a
-    // search over contiguous rows; for the packed kernels ascending key
-    // order is the same order (pack_bin_key is byte-lexicographic).
+    // Lex-sort the member CDUs by their bin rows so a lookup is a search
+    // over contiguous rows; for the packed lookups ascending key order is
+    // the same order (pack_bin_key is byte-lexicographic).
     std::sort(members.begin(), members.end(),
               [&cdus, this](std::uint32_t a, std::uint32_t b) {
                 return std::memcmp(cdus.bins(a).data(), cdus.bins(b).data(),
@@ -189,22 +181,20 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
               });
     sub.cdu_index = members;
 
-    if (bitmap_) {
-      // Assign one bitmap id per distinct (dim, bin) pair the subspace's
-      // members reference; a CDU's count is then the AND of its k bitmaps.
-      sub.bitmap_ids.reserve(members.size() * k_);
-      for (const std::uint32_t u : members) {
-        const auto bins = cdus.bins(u);
-        for (std::size_t i = 0; i < k_; ++i) {
-          std::uint32_t& id =
-              bin_map_[static_cast<std::size_t>(dims[i]) * kMaxBinsPerDim +
-                       bins[i]];
-          if (id == kNoBitmap) id = num_bitmaps++;
-          sub.bitmap_ids.push_back(id);
-        }
+    // One bitset id per distinct (dim, bin) pair the members reference; a
+    // CDU's block count is then the popcount of the AND of its k bitsets.
+    sub.bitmap_ids.reserve(members.size() * k_);
+    for (const std::uint32_t u : members) {
+      const auto bins = cdus.bins(u);
+      for (std::size_t i = 0; i < k_; ++i) {
+        std::uint32_t& id =
+            bin_map_[static_cast<std::size_t>(dims[i]) * kMaxBinsPerDim + bins[i]];
+        if (id == kNoBitmap) id = num_bitmaps++;
+        sub.bitmap_ids.push_back(id);
       }
-      ++stats_.bitmap_subspaces;
-    } else if (packed_) {
+    }
+
+    if (packed_) {
       sub.keys.reserve(members.size());
       for (const std::uint32_t u : members) {
         sub.keys.push_back(pack_bin_key(cdus.bins(u).data(), k_));
@@ -224,9 +214,6 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
           }
           sub.slots[h] = static_cast<std::uint32_t>(i);
         }
-        ++stats_.packed_hash_subspaces;
-      } else {
-        ++stats_.packed_sorted_subspaces;
       }
     } else {
       sub.sorted_bins.reserve(members.size() * k_);
@@ -234,24 +221,22 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
         const auto b = cdus.bins(u);
         sub.sorted_bins.insert(sub.sorted_bins.end(), b.begin(), b.end());
       }
-      ++stats_.memcmp_subspaces;
     }
     subspaces_.push_back(std::move(sub));
   }
-  if (bitmap_) {
-    bitmaps_.resize(num_bitmaps);
-    stats_.bitmap_bytes = bitmap_index_bytes(0);
+
+  for (std::size_t j = 0; j < grids.num_dims(); ++j) {
+    const std::uint32_t* map = bin_map_.data() + j * kMaxBinsPerDim;
+    if (std::any_of(map, map + kMaxBinsPerDim,
+                    [](std::uint32_t id) { return id != kNoBitmap; })) {
+      used_dims_.push_back(static_cast<DimId>(j));
+    }
   }
+  bitsets_.resize(static_cast<std::size_t>(num_bitmaps) * block_words_);
 }
 
-std::size_t UnitPopulator::bitmap_index_bytes(std::size_t nrows) const {
-  const std::size_t words = (nrows + 63) / 64;
-  return bitmaps_.size() * words * sizeof(std::uint64_t) +
-         bin_map_.size() * sizeof(std::uint32_t);
-}
-
-std::size_t UnitPopulator::auxiliary_bytes(std::size_t nrows) const {
-  std::size_t bytes = bitmap_ ? bitmap_index_bytes(nrows) : 0;
+std::size_t UnitPopulator::auxiliary_bytes() const {
+  std::size_t bytes = bitsets_.size() * sizeof(std::uint64_t);
   for (const Subspace& sub : subspaces_) {
     bytes += sub.cdu_index.size() * sizeof(std::uint32_t) +
              sub.keys.size() * sizeof(std::uint64_t) +
@@ -263,77 +248,72 @@ std::size_t UnitPopulator::auxiliary_bytes(std::size_t nrows) const {
 }
 
 void UnitPopulator::accumulate(const Value* rows, std::size_t nrows) {
+  static const AndPopcountFn and_popcount = resolve_and_popcount();
   const std::size_t d = grids_.num_dims();
   const std::size_t block = cfg_.block_records;
+  stats_.bitmap_subspaces = subspaces_.size();
+  stats_.bitmap_bytes = bitsets_.size() * sizeof(std::uint64_t) +
+                        bin_map_.size() * sizeof(std::uint32_t);
 
-  if (bitmap_) {
-    // Grow every bitset to cover the rows this call appends (tail bits stay
-    // zero, which the incremental finalization relies on).
-    const std::size_t words = (nrows_seen_ + nrows + 63) / 64;
-    for (auto& bm : bitmaps_) bm.resize(words, 0);
-    stats_.bitmap_bytes =
-        std::max(stats_.bitmap_bytes, bitmap_index_bytes(nrows_seen_ + nrows));
-  }
-
+  std::vector<const std::uint64_t*> ptrs(k_);
   for (std::size_t base = 0; base < nrows; base += block) {
     const std::size_t bn = std::min(block, nrows - base);
+    const std::size_t words = (bn + 63) / 64;
 
-    // Bin the block once in every dimension that participates anywhere:
-    // one column of bin indices per dimension, so the subspace sweep below
-    // reads sequential bytes instead of re-binning per subspace.
-    for (std::size_t j = 0; j < d; ++j) {
-      if (!dim_used_[j]) continue;
-      BinId* col = col_bins_.data() + j * block;
+    // Build: set each record's bit in the bitset of every used (dim, bin)
+    // it lands in.  Bits past the block's last record stay clear.
+    std::fill(bitsets_.begin(), bitsets_.end(), 0);
+    for (const DimId j : used_dims_) {
       const DimensionGrid& g = grids_[j];
+      const std::uint32_t* map = bin_map_.data() + j * kMaxBinsPerDim;
       const Value* v = rows + base * d + j;
-      for (std::size_t r = 0; r < bn; ++r, v += d) col[r] = g.bin_of(*v);
+      for (std::size_t r = 0; r < bn; ++r, v += d) {
+        const std::uint32_t id = map[g.bin_of(*v)];
+        if (id == kNoBitmap) continue;
+        bitsets_[id * block_words_ + (r >> 6)] |= std::uint64_t{1} << (r & 63);
+      }
     }
 
-    if (bitmap_) {
-      // Bitmap build: set each record's bit in the bitset of every used
-      // (dim, bin) it lands in.  Counting is deferred to counts().
-      const std::size_t bit0 = nrows_seen_ + base;
-      for (std::size_t j = 0; j < d; ++j) {
-        if (!dim_used_[j]) continue;
-        const BinId* col = col_bins_.data() + j * block;
-        const std::uint32_t* map = bin_map_.data() + j * kMaxBinsPerDim;
-        for (std::size_t r = 0; r < bn; ++r) {
-          const std::uint32_t id = map[col[r]];
-          if (id == kNoBitmap) continue;
-          const std::size_t bit = bit0 + r;
-          bitmaps_[id][bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    // Count: AND each CDU's k bitsets over the block's words.
+    for (const Subspace& sub : subspaces_) {
+      for (std::size_t m = 0; m < sub.cdu_index.size(); ++m) {
+        const std::uint32_t* ids = sub.bitmap_ids.data() + m * k_;
+        for (std::size_t i = 0; i < k_; ++i) {
+          ptrs[i] = bitsets_.data() + ids[i] * block_words_;
         }
+        counts_[sub.cdu_index[m]] += and_popcount(ptrs.data(), k_, words);
       }
-      continue;
+      stats_.bitmap_words_anded += sub.cdu_index.size() * words * k_;
     }
-    sweep({col_bins_.data(), block, bn, nullptr});
   }
-  if (bitmap_) nrows_seen_ += nrows;
 }
 
 void UnitPopulator::accumulate(const TransactionTable& table) {
-  require(!bitmap_, "UnitPopulator: the bitmap kernel counts records, not a "
-                    "transaction table");
+  const std::size_t hashed = static_cast<std::size_t>(
+      std::count_if(subspaces_.begin(), subspaces_.end(),
+                    [](const Subspace& sub) { return !sub.slots.empty(); }));
+  if (packed_) {
+    stats_.packed_hash_subspaces = hashed;
+    stats_.packed_sorted_subspaces = subspaces_.size() - hashed;
+  } else {
+    stats_.memcmp_subspaces = subspaces_.size();
+  }
+
   const std::size_t n = table.rows();
   const std::size_t block = cfg_.block_records;
-  // Same block walk as the record path, so the k columns a subspace reads
-  // stay cache-resident across all subspaces of the block.
+  // Subspace-major within each block: the k columns a subspace reads and
+  // its lookup structure stay cache-resident across the block.
   for (std::size_t base = 0; base < n; base += block) {
-    sweep({table.columns() + base, n, std::min(block, n - base),
-           table.weights() + base});
-  }
-}
-
-void UnitPopulator::sweep(const ColumnBlock& b) {
-  // Subspace-major: each subspace's lookup structure stays hot across the
-  // whole block.
-  for (const Subspace& sub : subspaces_) {
-    if (!packed_) {
-      sweep_memcmp(sub, b);
-    } else if (!sub.slots.empty()) {
-      sweep_packed_hash(sub, b);
-    } else {
-      sweep_packed_sorted(sub, b);
+    const ColumnBlock b{table.columns() + base, n, std::min(block, n - base),
+                        table.weights() + base};
+    for (const Subspace& sub : subspaces_) {
+      if (!packed_) {
+        sweep_memcmp(sub, b);
+      } else if (!sub.slots.empty()) {
+        sweep_packed_hash(sub, b);
+      } else {
+        sweep_packed_sorted(sub, b);
+      }
     }
   }
 }
@@ -341,10 +321,6 @@ void UnitPopulator::sweep(const ColumnBlock& b) {
 void UnitPopulator::seed_counts(std::span<const Count> base) {
   require(base.size() == counts_.size(),
           "UnitPopulator::seed_counts: base size mismatch");
-  // Fold any pending bitmap rows first so the overflow check sees the
-  // final local contribution (addition commutes, but a late finalization
-  // could overflow silently after the guarded add).
-  finalize_bitmap_counts();
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     if (counts_[i] > std::numeric_limits<Count>::max() - base[i]) {
       throw Error("UnitPopulator: unit-count accumulation overflowed",
@@ -352,39 +328,6 @@ void UnitPopulator::seed_counts(std::span<const Count> base) {
     }
     counts_[i] += base[i];
   }
-}
-
-void UnitPopulator::finalize_bitmap_counts() const {
-  if (!bitmap_ || done_rows_ == nrows_seen_) return;
-  static const AndPopcountFn and_popcount = resolve_and_popcount();
-
-  // Word range the pending rows [done_rows_, nrows_seen_) occupy.  The
-  // first word may straddle the watermark: its already-counted low bits are
-  // masked off so they are not counted twice.
-  const std::size_t w0 = done_rows_ / 64;
-  const std::size_t w1 = (nrows_seen_ + 63) / 64;
-  const unsigned head_bits = static_cast<unsigned>(done_rows_ % 64);
-  const std::uint64_t head_mask = ~std::uint64_t{0} << head_bits;
-
-  std::vector<const std::uint64_t*> ptrs(k_);
-  for (const Subspace& sub : subspaces_) {
-    for (std::size_t m = 0; m < sub.cdu_index.size(); ++m) {
-      const std::uint32_t* ids = sub.bitmap_ids.data() + m * k_;
-      for (std::size_t i = 0; i < k_; ++i) ptrs[i] = bitmaps_[ids[i]].data();
-      Count c = 0;
-      std::size_t w = w0;
-      if (head_bits != 0 && w < w1) {
-        std::uint64_t x = ptrs[0][w] & head_mask;
-        for (std::size_t i = 1; i < k_; ++i) x &= ptrs[i][w];
-        c += static_cast<Count>(std::popcount(x));
-        ++w;
-      }
-      c += and_popcount(ptrs.data(), k_, w, w1);
-      counts_[sub.cdu_index[m]] += c;
-      stats_.bitmap_words_anded += (w1 - w0) * k_;
-    }
-  }
-  done_rows_ = nrows_seen_;
 }
 
 // The sweeps copy the block's fields into locals: stride and rows share
@@ -402,7 +345,7 @@ void UnitPopulator::sweep_packed_sorted(const Subspace& sub,
     for (std::size_t i = 0; i < k_; ++i) {
       key = (key << 8) | cols[dims[i] * stride + r];
     }
-    const Count w = weights != nullptr ? weights[r] : 1;
+    const Count w = weights[r];
     for (std::size_t pos = lower_bound_u64(keys, m, key);
          pos < m && keys[pos] == key; ++pos) {
       counts_[sub.cdu_index[pos]] += w;
@@ -421,7 +364,7 @@ void UnitPopulator::sweep_packed_hash(const Subspace& sub,
     for (std::size_t i = 0; i < k_; ++i) {
       key = (key << 8) | cols[dims[i] * stride + r];
     }
-    const Count w = weights != nullptr ? weights[r] : 1;
+    const Count w = weights[r];
     std::uint64_t h = mix64(key) & sub.slot_mask;
     while (sub.slots[h] != kEmptySlot) {
       const std::size_t first = sub.slots[h];
@@ -443,7 +386,7 @@ void UnitPopulator::sweep_memcmp(const Subspace& sub, const ColumnBlock& b) {
   for (std::size_t r = 0; r < n; ++r) {
     // Project the record onto the subspace's dimensions.
     for (std::size_t i = 0; i < k_; ++i) key[i] = cols[dims[i] * stride + r];
-    const Count w = weights != nullptr ? weights[r] : 1;
+    const Count w = weights[r];
 
     // Binary search the projected bin tuple among the sorted CDU rows.
     std::size_t lo = 0;

@@ -5,51 +5,46 @@
 // which is completely data parallel", Section 5.3).  Each rank counts its
 // N/p records, accumulates local counts, and the driver Reduce-sums them.
 //
-// Two row sources feed the same counting kernels.  Level 1, and any level
-// whose rank abandoned its table at the memory cap, streams the records in
-// B-record chunks (accumulate(rows, nrows)).  Levels >= 2 otherwise sweep
-// the rank's TransactionTable (accumulate(table)): one row per distinct
-// dense-item tuple, weighted by its multiplicity — exact because later
-// CDUs only use items of earlier ones (see units/transaction_table.hpp).
-// The bitmap kernel always streams: its index is over record ids.
-//
-// Implementation: a record lies in CDU {(d₁,b₁)..(d_k,b_k)} iff its bin
+// The row source picks the sweep; there is no kernel option.
+//   * Records (level 1, and every level of a rank whose table fell back at
+//     its memory cap) stream through accumulate(rows, nrows), which counts
+//     with the bitmap sweep (gpumafia's build_bitmaps/count_points_bitmaps
+//     model, made block-local).  For each block of block_records records
+//     it clears one bitset of block_records bits per (dim, bin) pair some
+//     CDU uses, sets each record's bit in the bitset of every used pair it
+//     lands in, then ANDs each CDU's k bitsets over the block's words and
+//     adds the popcount to the CDU's count — a branch-free reduction with
+//     an AVX2/NEON fast path and a std::popcount fallback.  The bitsets
+//     never outgrow one block, so the index is used_bins × block_records
+//     bits whatever the partition size.
+//   * A transaction table (levels >= 2 by default) sweeps through
+//     accumulate(table): one row per distinct dense-item tuple, weighted by
+//     its multiplicity — exact because later CDUs only use items of earlier
+//     ones (see units/transaction_table.hpp).  The table's rows go through
+//     the per-subspace lookups, block by block and subspace-major, so each
+//     subspace's lookup structure stays hot across a block:
+//       - packed/sorted (k <= 8): the k bin bytes of each CDU row pack into
+//         one uint64 (pack_bin_key); a row's projected tuple packs the same
+//         way and a branchless lower_bound over the flat sorted key array
+//         finds it;
+//       - packed/hash (k <= 8, high CDU count): an open-addressing
+//         exact-match table over the packed keys turns the lookup into
+//         O(1) probes;
+//       - memcmp (k > 8): binary search of the projected k-byte row against
+//         the subspace's lexicographically sorted CDU rows — the fallback
+//         for units wider than a packed key.
+// Every sweep counts duplicate CDU rows correctly (identical candidates
+// share their bitsets, sort adjacently, and the hash table points at the
+// first row of an equal run), so the contract holds with or without a
+// prior dedup pass.  A record lies in CDU {(d₁,b₁)..(d_k,b_k)} iff its bin
 // index in dimension dᵢ equals bᵢ for all i (adaptive bins tile each
-// dimension, so each value maps to exactly one bin).  The populator
-// pre-groups CDUs by their dimension set (subspace) and processes records
-// in cache-sized blocks with a subspace-major inner loop: each block's
-// per-dimension bin indices are computed once into a column buffer, then
-// every subspace sweeps the whole block while its lookup structure stays
-// hot in cache.  A table block is a slice of the table's own columns, with
-// the row weights in place of the implicit weight 1.  The block sweep is
-// self-contained per block range, so the kernel is trivially splittable
-// for future intra-rank threading.
+// dimension, so each value maps to exactly one bin).  Both sweeps are
+// self-contained per block, so they are trivially splittable for future
+// intra-rank threading.
 //
-// Per-subspace lookup kernels (PopulateKernel selects; Auto picks packed):
-//   * packed/sorted  (k <= 8): the k bin bytes of each CDU row pack into
-//     one uint64 (pack_bin_key); a record's projected tuple packs the same
-//     way and a branchless lower_bound over the flat sorted key array
-//     replaces the per-record memcmp binary search.
-//   * packed/hash (k <= 8, high CDU count): an open-addressing exact-match
-//     table over the packed keys turns the lookup into O(1) probes.
-//   * memcmp (k > 8, or forced): binary search of the projected k-byte row
-//     against the subspace's lexicographically sorted CDU rows — the
-//     fallback contract for units wider than a packed key.
-// All kernels count duplicate CDU rows correctly (identical candidates
-// sort adjacently; the hash table points at the first row of an equal
-// run), so the contract holds with or without a prior dedup pass.
-//
-// The Bitmap kernel (gpumafia's build_bitmaps/count_points_bitmaps model)
-// inverts the loop structure entirely: the data pass builds one bitset of
-// nrows bits per (dim, bin) pair used by any CDU, and a unit's count is
-// then the popcount of the AND of its k bitmaps — a branch-free,
-// vectorizable reduction over 64-bit words (AVX2/NEON fast path,
-// std::popcount fallback).  Bitmap construction happens inside the same
-// chunked accumulate() pass as the other kernels, so it composes with the
-// pipelined source and SPMD per-rank record ranges; the AND+popcount
-// finalization is deferred to the first counts() access after the scan.
-// Memory is bits = used_bins × nrows (see auxiliary_bytes), which is why
-// the driver folds it into the --max-cdu-bytes budget.
+// The populator builds the lookups and the bitmap ids up front: a rank
+// picks its row source alone, but auxiliary_bytes() — which the driver
+// folds into the --max-cdu-bytes budget — must be the same on every rank.
 #pragma once
 
 #include <algorithm>
@@ -65,33 +60,20 @@ namespace mafia {
 
 class TransactionTable;
 
-/// Lookup-kernel selection for UnitPopulator.  Auto picks the packed-key
-/// kernels whenever the unit dimensionality allows (k <= kPackedKeyMaxDims)
-/// and is the production default; Memcmp forces the byte-row binary-search
-/// path everywhere (the k > 8 fallback), kept selectable for the
-/// oracle-differential tests and the bench_populate_kernel A/B.  Bitmap
-/// switches to per-(dim, bin) record-membership bitsets with AND+popcount
-/// counting — any k, wins when bins are few relative to records, loses
-/// when the used-bin count (and so the index) grows (the bench reports the
-/// crossover).
-enum class PopulateKernel { Auto, Memcmp, Bitmap };
-
-/// Resolved kernel-family ids (UnitPopulator::effective_kernel), recorded
-/// per level in the run trace.
+/// Sweep-family ids, recorded per level in the run trace
+/// (LevelTrace::populate_kernel).
 inline constexpr std::uint8_t kPopulateKernelPacked = 0;
 inline constexpr std::uint8_t kPopulateKernelMemcmp = 1;
 inline constexpr std::uint8_t kPopulateKernelBitmap = 2;
 
-/// Tuning knobs for the populate kernel (defaults are the production
+/// Tuning knobs for the populate sweeps (defaults are the production
 /// configuration; the bench and the differential tests sweep them).
 struct PopulateConfig {
-  /// Records per block of the subspace-major sweep.  The block's bin
-  /// columns occupy block_records * num_dims bytes; the default keeps them
-  /// comfortably inside L2 for the paper's dimensionalities.
+  /// Records (or table rows) per block of either sweep.  The bitmap sweep's
+  /// bitsets hold block_records bits per used (dim, bin) pair; the default
+  /// keeps a level's bitsets and a table block's columns inside L2 for the
+  /// paper's dimensionalities.
   std::size_t block_records = 2048;
-
-  /// Kernel selection (see PopulateKernel).
-  PopulateKernel kernel = PopulateKernel::Auto;
 
   /// Packed subspaces with at least this many CDUs get the open-addressing
   /// exact-match table instead of the sorted-array search.
@@ -110,20 +92,22 @@ struct PopulateConfig {
   return cap;
 }
 
-/// Which kernel each subspace ended up on — surfaced through MafiaResult
-/// and the JSON report so the populate-phase configuration is visible in
-/// every recorded run.
+/// Which sweep each subspace ran on — surfaced through MafiaResult and the
+/// JSON report so the populate-phase configuration is visible in every
+/// recorded run.  A populator that swept both row sources counts its
+/// subspaces under both.
 struct PopulateKernelStats {
   std::size_t packed_sorted_subspaces = 0;
   std::size_t packed_hash_subspaces = 0;
   std::size_t memcmp_subspaces = 0;
   std::size_t bitmap_subspaces = 0;
   std::size_t block_records = 0;
-  /// Peak bitmap-index footprint over the run's levels (bitset words plus
-  /// the (dim, bin) -> bitmap id map); 0 unless the Bitmap kernel ran.
+  /// Peak bitmap-sweep footprint over the run's levels (one block's bitset
+  /// words plus the (dim, bin) -> bitset id map); 0 unless records were
+  /// streamed.
   std::size_t bitmap_bytes = 0;
-  /// Total 64-bit words ANDed by the bitmap count finalization, summed
-  /// over all levels — the work metric of the AND+popcount reduction.
+  /// Total 64-bit words ANDed by the bitmap sweep, summed over all blocks
+  /// and levels — the work metric of the AND+popcount reduction.
   std::size_t bitmap_words_anded = 0;
   /// Transaction-table ledger (the driver fills these at the end of a run;
   /// the populator never does).  Rows and bytes are the largest any rank's
@@ -153,90 +137,64 @@ struct PopulateKernelStats {
 
 class UnitPopulator {
  public:
-  /// Prepares lookup structures for counting membership in `cdus` under
-  /// `grids`.  Both must outlive the populator.
+  /// Prepares the lookups and bitmap ids for counting membership in `cdus`
+  /// under `grids`.  Both must outlive the populator.
   UnitPopulator(const GridSet& grids, const UnitStore& cdus,
                 const PopulateConfig& config = {});
 
   /// Folds `nrows` row-major records (width = grids.num_dims()) into the
-  /// local counts.
+  /// local counts through the bitmap sweep.
   void accumulate(const Value* rows, std::size_t nrows);
 
-  /// Folds a finished transaction table into the local counts: each row
-  /// adds its weight to every CDU it lies in.  The table must cover the
-  /// CDUs (TransactionTable::covers); not valid under the Bitmap kernel.
+  /// Folds a finished transaction table into the local counts through the
+  /// lookups: each row adds its weight to every CDU it lies in.  The table
+  /// must cover the CDUs (TransactionTable::covers).
   void accumulate(const TransactionTable& table);
 
   /// Accumulates `base` element-wise into the counts — the append path's
-  /// accumulate-into-existing-counts entry point.  Valid for all three
-  /// kernels: counts_ is the unified additive accumulator (the bitmap
-  /// kernel's pending rows are finalized first, so seeding and scanning
-  /// commute).  The SPMD driver seeds the stored global counts AFTER the
-  /// batch-only allreduce, so every rank adds the base exactly once.
-  /// Throws mafia::Error when any sum would overflow Count.
+  /// accumulate-into-existing-counts entry point.  The SPMD driver seeds
+  /// the stored global counts AFTER the batch-only allreduce, so every rank
+  /// adds the base exactly once.  Throws mafia::Error when any sum would
+  /// overflow Count.
   void seed_counts(std::span<const Count> base);
 
   /// Local counts per CDU (index-aligned with the input store), mutable so
-  /// the parallel driver can allreduce_sum in place.  Under the Bitmap
-  /// kernel the first access after new accumulate() calls finalizes the
-  /// pending rows (AND+popcount over the words they touched); the counts
-  /// are append-consistent, so accumulate and counts may interleave.
-  [[nodiscard]] std::vector<Count>& counts() {
-    finalize_bitmap_counts();
-    return counts_;
-  }
-  [[nodiscard]] const std::vector<Count>& counts() const {
-    finalize_bitmap_counts();
-    return counts_;
-  }
+  /// the parallel driver can allreduce_sum in place.  Complete after every
+  /// accumulate(), so accumulate and counts may interleave.
+  [[nodiscard]] std::vector<Count>& counts() { return counts_; }
+  [[nodiscard]] const std::vector<Count>& counts() const { return counts_; }
 
   /// Number of distinct subspaces among the CDUs (exposed for tests/benches).
   [[nodiscard]] std::size_t num_subspaces() const { return subspaces_.size(); }
 
-  /// Per-kernel subspace counts for this populator (exposed for the run
-  /// report and the benches).  Under the Bitmap kernel the AND-work counter
-  /// is complete only once counts() has finalized the accumulated rows.
+  /// Per-sweep subspace counts and bitmap work for this populator (exposed
+  /// for the run report and the benches).
   [[nodiscard]] const PopulateKernelStats& kernel_stats() const { return stats_; }
 
-  /// Kernel family this populator resolved to (Auto and the k > 8 packed
-  /// fallback resolved), as a kPopulateKernel* id.  Recorded per level in
-  /// the run trace.
-  [[nodiscard]] std::uint8_t effective_kernel() const {
-    if (bitmap_) return kPopulateKernelBitmap;
-    return packed_ ? kPopulateKernelPacked : kPopulateKernelMemcmp;
-  }
-
-  /// Kernel auxiliary memory needed to count `nrows` records: the
-  /// per-subspace lookup vectors (sorted-row -> CDU index, packed keys,
-  /// hash slots, sorted byte rows, bitmap ids), plus the bitmap index
-  /// (bitset words + bin map) under the Bitmap kernel.  Callers
-  /// pass the worst-case partition size so a collective budget guard stays
-  /// rank-invariant.  See auxiliary_component() for the matching name.
-  [[nodiscard]] std::size_t auxiliary_bytes(std::size_t nrows) const;
-
-  /// Human-readable name of the auxiliary-memory component measured by
-  /// auxiliary_bytes(), for resource-error messages.
-  [[nodiscard]] const char* auxiliary_component() const {
-    return bitmap_ ? "populate bitmap index" : "populate lookup tables";
-  }
+  /// Auxiliary memory of either sweep: the per-subspace lookup vectors
+  /// (sorted-row -> CDU index, packed keys, hash slots, sorted byte rows),
+  /// the bitmap ids, and one block of bitsets (used_bins × block_records
+  /// bits).  All of it follows from the CDU store, which every rank holds,
+  /// so a collective budget guard over it stays rank-invariant.  Fixed
+  /// per-dimension scratch (the (dim, bin) -> bitset map) is not counted.
+  [[nodiscard]] std::size_t auxiliary_bytes() const;
 
  private:
   struct Subspace {
     std::vector<DimId> dims;               // ascending dimension set, size k
     std::vector<std::uint32_t> cdu_index;  // sorted row -> original CDU index
-    // Packed kernels (k <= kPackedKeyMaxDims):
+    // Packed lookups (k <= kPackedKeyMaxDims):
     std::vector<std::uint64_t> keys;  // member CDU rows as sorted packed keys
     std::vector<std::uint32_t> slots;  // open addressing: key -> first run row
     std::uint64_t slot_mask = 0;       // slots.size() - 1 (power of two)
-    // Memcmp fallback (k > kPackedKeyMaxDims or forced):
+    // Memcmp lookup (k > kPackedKeyMaxDims):
     std::vector<BinId> sorted_bins;  // member CDU bin rows, lex-sorted, k-stride
-    // Bitmap kernel: k bitmap ids per member CDU, row-major in sorted order.
+    // Bitmap sweep: k bitset ids per member CDU, row-major in sorted order.
     std::vector<std::uint32_t> bitmap_ids;
   };
 
-  /// One block of rows for the sweeps: the bin of row r in dim j is
-  /// cols[j * stride + r]; row r counts `weights[r]` times (once when
-  /// weights is null).
+  /// One block of table rows for the lookups: the bin of row r in dim j is
+  /// cols[j * stride + r]; row r counts weights[r] times.
   struct ColumnBlock {
     const BinId* cols;
     std::size_t stride;
@@ -244,44 +202,26 @@ class UnitPopulator {
     const Count* weights;
   };
 
-  void sweep(const ColumnBlock& b);
   void sweep_packed_sorted(const Subspace& sub, const ColumnBlock& b);
   void sweep_packed_hash(const Subspace& sub, const ColumnBlock& b);
   void sweep_memcmp(const Subspace& sub, const ColumnBlock& b);
 
-  /// Bitmap index bytes (bitset words + bin map) for `nrows` records.
-  [[nodiscard]] std::size_t bitmap_index_bytes(std::size_t nrows) const;
-
-  /// Bitmap-kernel count finalization: for every member CDU, AND its k
-  /// bitmaps and popcount over the word range the rows accumulated since
-  /// the last finalization touched (bits are append-only and tail bits are
-  /// zero, so incremental word ranges sum to the full-scan answer).  No-op
-  /// for the other kernels or when no rows are pending; const because both
-  /// counts() overloads trigger it (counts_/stats_/watermark are mutable).
-  void finalize_bitmap_counts() const;
-
   const GridSet& grids_;
   std::size_t k_;
-  bool packed_;  // packed kernels active (k fits a key and not forced off)
-  bool bitmap_;  // bitmap kernel active (cfg_.kernel == Bitmap)
+  bool packed_;  // k fits a packed key
   PopulateConfig cfg_;
-  mutable PopulateKernelStats stats_;
+  PopulateKernelStats stats_;
   std::vector<Subspace> subspaces_;
-  mutable std::vector<Count> counts_;
-  // Block-sweep scratch: per-dimension bin columns for the current block,
-  // dim-major (column j starts at j * block_records), filled only for
-  // dimensions that occur in some subspace.
-  std::vector<BinId> col_bins_;
-  std::vector<std::uint8_t> dim_used_;
-  std::vector<BinId> key_scratch_;  // projected row buffer (memcmp path)
-  // Bitmap-kernel state.  bin_map_ maps (dim * kMaxBinsPerDim + bin) to a
-  // bitmap id (kNoBitmap for (dim, bin) pairs no CDU uses — those set no
-  // bits and cost no memory); bitmaps_ holds one word vector of
-  // ceil(nrows / 64) words per used pair, grown as accumulate() sees rows.
+  std::vector<Count> counts_;
+  std::vector<BinId> key_scratch_;  // projected row buffer (memcmp lookup)
+  // Bitmap-sweep state.  bin_map_ maps (dim * kMaxBinsPerDim + bin) to a
+  // bitset id (kNoBitmap for pairs no CDU uses — those set no bits and cost
+  // no memory); bitsets_ holds block_words_ words per used pair, cleared
+  // and refilled for every block; used_dims_ lists the dims some CDU uses.
   std::vector<std::uint32_t> bin_map_;
-  std::vector<std::vector<std::uint64_t>> bitmaps_;
-  std::size_t nrows_seen_ = 0;          // rows accumulated into the bitmaps
-  mutable std::size_t done_rows_ = 0;   // rows already folded into counts_
+  std::vector<std::uint64_t> bitsets_;
+  std::size_t block_words_;
+  std::vector<DimId> used_dims_;
 };
 
 }  // namespace mafia

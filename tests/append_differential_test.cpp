@@ -203,19 +203,20 @@ void kernel_matrix_bit_identical(mp::MpBackend backend) {
   const MafiaResult full = run_pmafia(all_source, base_options(), 2);
 
   const std::string work = dir.path() + "_work";
-  for (const PopulateKernel pk :
-       {PopulateKernel::Auto, PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
+  // Reused levels stream only the batch through the bitmap sweep, so its
+  // block size is the populate axis here.
+  for (const std::size_t block : {std::size_t{2048}, std::size_t{7}}) {
     for (const JoinKernel jk : {JoinKernel::Bucketed, JoinKernel::Pairwise}) {
       for (const int p : {1, 2, 3, 5, 8}) {
         copy_dir(dir.path(), work);
         MafiaOptions ao = base_options();
-        ao.populate.kernel = pk;
+        ao.populate.block_records = block;
         ao.join.kernel = jk;
         ao.mp.backend = backend;
         ao.checkpoint.directory = work;
         ao.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
         const MafiaResult inc = run_pmafia(all_source, ao, p);
-        SCOPED_TRACE("populate=" + std::to_string(static_cast<int>(pk)) +
+        SCOPED_TRACE("block=" + std::to_string(block) +
                      " join=" + std::to_string(static_cast<int>(jk)) +
                      " p=" + std::to_string(p));
         EXPECT_TRUE(inc.append.performed);
@@ -631,17 +632,9 @@ TEST(AppendOverflow, PopulateSeedAtBoundaryIsExactAndPastItThrows) {
     EXPECT_EQ(pop.counts()[0], std::numeric_limits<Count>::max());
   }
   {
+    // A streamed record (the bitmap sweep) lands in the counts before the
+    // guarded add, so one more count past the boundary throws.
     UnitPopulator pop(grids, cdus);
-    const Value row[2] = {1.0f, 1.0f};
-    pop.accumulate(row, 1);
-    EXPECT_THROW(pop.seed_counts(base), Error);
-  }
-  {
-    // The bitmap kernel shares the additive accumulator: pending rows are
-    // finalized before the guarded add, so the same boundary check holds.
-    PopulateConfig cfg;
-    cfg.kernel = PopulateKernel::Bitmap;
-    UnitPopulator pop(grids, cdus, cfg);
     const Value row[2] = {1.0f, 1.0f};
     pop.accumulate(row, 1);
     EXPECT_THROW(pop.seed_counts(base), Error);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -342,9 +343,10 @@ TEST(CheckpointFormat, FingerprintTracksResultAffectingOptionsOnly) {
   MafiaOptions chunk = base;
   chunk.chunk_records = 128;
   EXPECT_EQ(checkpoint_fingerprint(chunk, 4000, 6), fp);
-  MafiaOptions kernel = base;
-  kernel.populate.kernel = PopulateKernel::Memcmp;
-  EXPECT_EQ(checkpoint_fingerprint(kernel, 4000, 6), fp);
+  MafiaOptions tuning = base;
+  tuning.populate.block_records = 7;
+  tuning.populate.hash_min_cdus = 1;
+  EXPECT_EQ(checkpoint_fingerprint(tuning, 4000, 6), fp);
 }
 
 /// Kill-at-every-op sweep on one backend.  On the process backend every
@@ -460,17 +462,17 @@ TEST(CheckpointRestart, OptionChangeInvalidatesOldCheckpoints) {
 TEST(CheckpointRestart, ResumeMayChangeChunkSizeAndKernel)
 {
   // The fingerprint deliberately excludes result-invariant knobs; a resume
-  // with a different chunk size and populate kernel — including the bitmap
-  // kernel, whose execution model shares nothing with the lookup kernels —
-  // still reproduces the baseline bit-identically.
+  // with a different chunk size and populate kernel tuning — the block size
+  // of both sweeps, and the hash lookup forced on or off — still
+  // reproduces the baseline bit-identically.
   const Dataset data = planted_data();
   InMemorySource source(data);
   const MafiaResult baseline = run_pmafia(source, base_options(), 2);
 
-  for (const PopulateKernel kernel :
-       {PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
-    ScratchDir dir("mafia_ckpt_knobs_" +
-                   std::to_string(static_cast<int>(kernel)));
+  const PopulateConfig tunings[] = {
+      {1, 1}, {37, std::numeric_limits<std::size_t>::max()}};
+  for (const PopulateConfig& tuning : tunings) {
+    ScratchDir dir("mafia_ckpt_knobs_" + std::to_string(tuning.block_records));
     MafiaOptions faulted = base_options();
     faulted.checkpoint.directory = dir.path();
     faulted.fault_plan.kill(/*rank=*/0, /*op=*/6);
@@ -483,7 +485,7 @@ TEST(CheckpointRestart, ResumeMayChangeChunkSizeAndKernel)
     resume.checkpoint.directory = dir.path();
     resume.checkpoint.resume = true;
     resume.chunk_records = 256;
-    resume.populate.kernel = kernel;
+    resume.populate = tuning;
     const MafiaResult resumed = run_pmafia(source, resume, 3);  // p changes too
     expect_same_result(resumed, baseline);
   }
@@ -527,18 +529,18 @@ TEST(ResourceBudget, ResourceErrorNamesTheOffendingComponent) {
         << e.what();
   }
 
-  // The bitmap kernel's index (one nrows-bit bitset per level-1 bin, plus
-  // the (dim,bin) map) dwarfs the level-1 candidate store; a budget between
-  // the two must pass the store check and then fail naming the index.
+  // The populator's bitmap block (one block_records-bit bitset per level-1
+  // bin) dwarfs the level-1 candidate store; a budget between the two must
+  // pass the store check and then fail naming the populator.
   MafiaOptions bitmap = base_options();
-  bitmap.populate.kernel = PopulateKernel::Bitmap;
   bitmap.max_cdu_bytes = 4096;
   try {
     (void)run_pmafia(source, bitmap, 2);
     FAIL() << "expected a ResourceError";
   } catch (const ResourceError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("populate bitmap index"), std::string::npos) << what;
+    EXPECT_NE(what.find("populate lookups and bitmap block"), std::string::npos)
+        << what;
     EXPECT_NE(what.find("CDU budget exceeded at level 1"), std::string::npos)
         << what;
   }

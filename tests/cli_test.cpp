@@ -229,9 +229,10 @@ TEST_F(CliPipeline, ReportJsonIsValidAndComplete) {
 }
 
 TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
-  // --populate-kernel bitmap through the whole driver: same clusters as the
-  // default kernel, and the report records the kernel per level plus the
-  // bitmap-index footprint and the unjoined-DU fields.
+  // Records always count through the bitmap sweep, so level 1 runs it on
+  // every rank: the clusters come out as usual, and the report records the
+  // kernel per level (bitmap where records streamed, packed where the
+  // tables were swept), the bitmap footprint and the unjoined-DU fields.
   const std::string report = temp("mafia_cli_bitmap_report.json");
   ASSERT_EQ(run_cli("generate --out " + data_ +
                     " --dims 8 --records 20000 --seed 7 --cluster 1,4,6:30:45")
@@ -239,17 +240,22 @@ TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
             0);
   auto [status, out] = run_cli("cluster --data " + data_ +
                                " --ranks 3 --domain-lo 0 --domain-hi 100"
-                               " --populate-kernel bitmap --report-json " +
-                               report);
+                               " --report-json " + report);
   ASSERT_EQ(status, 0) << out;
   EXPECT_NE(out.find("subspace {1,4,6}"), std::string::npos) << out;
 
   const mafia::JsonValue doc = mafia::json_parse(slurp(report));
   std::remove(report.c_str());
   EXPECT_EQ(doc.at("schema").string, "pmafia-report-v1");
-  ASSERT_FALSE(doc.at("levels").array.empty());
-  for (const auto& level : doc.at("levels").array) {
-    EXPECT_EQ(level.at("populate_kernel").string, "bitmap");
+  const auto& levels = doc.at("levels").array;
+  ASSERT_GE(levels.size(), 2u);
+  EXPECT_EQ(levels[0].at("populate_kernel").string, "bitmap");
+  EXPECT_GT(levels[0].at("bitmap_bytes").number, 0.0);
+  EXPECT_GT(levels[0].at("bitmap_words_anded").number, 0.0);
+  for (const auto& level : levels) {
+    EXPECT_EQ(level.at("populate_kernel").string,
+              level.at("populate_source").string == "records" ? "bitmap"
+                                                               : "packed");
     EXPECT_TRUE(level.has("bitmap_bytes"));
     EXPECT_TRUE(level.has("unjoined_dus"));
     ASSERT_TRUE(level.at("unjoined_units").is_array());
@@ -263,24 +269,40 @@ TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
 }
 
 TEST_F(CliPipeline, TransactionTableLedgerInReport) {
-  // The default kernel sweeps the transaction table from level 2 on; the
-  // report says so per level and in the populate_kernel ledger, and the
-  // text report prints the ledger line.  The bitmap kernel streams every
-  // level, so the same data yields records everywhere and no table.
+  // From level 2 on each rank sweeps its transaction table while it fits
+  // its cap; the report says so per level and in the populate_kernel
+  // ledger, and the text report prints the ledger line.  One planted box
+  // keeps every table; twelve boxes scattered over three disjoint
+  // subspaces give every rank more distinct rows than its cap, so every
+  // level streams records through the bitmap sweep.
   const std::string report = temp("mafia_cli_table_report.json");
-  ASSERT_EQ(run_cli("generate --out " + data_ +
-                    " --dims 8 --records 20000 --seed 7 --cluster 1,4,6:30:45")
-                .first,
-            0);
-  for (const bool bitmap : {false, true}) {
+  for (const bool scattered : {false, true}) {
+    std::string clusters = " --cluster 1,4,6:30:45";
+    std::string dims = " --dims 8";
+    if (scattered) {
+      clusters.clear();
+      dims = " --dims 12";
+      for (const char* sub : {"0,3,6,9", "1,4,7,10", "2,5,8,11"}) {
+        for (const int lo : {4, 28, 52, 76}) {
+          clusters += " --cluster " + std::string(sub) + ":" +
+                      std::to_string(lo) + ":" + std::to_string(lo + 4);
+        }
+      }
+    }
+    ASSERT_EQ(run_cli("generate --out " + data_ + dims +
+                      " --records 20000 --seed 7" + clusters)
+                  .first,
+              0);
     auto [status, out] = run_cli(
         "cluster --data " + data_ +
-        " --ranks 3 --domain-lo 0 --domain-hi 100 --report-json " + report +
-        (bitmap ? " --populate-kernel bitmap" : ""));
+        " --ranks 3 --domain-lo 0 --domain-hi 100 --report-json " + report);
     ASSERT_EQ(status, 0) << out;
     EXPECT_NE(out.find("populate rows: k1 records 22000"), std::string::npos)
         << out;
-    EXPECT_EQ(out.find("tables keyed at level") != std::string::npos, !bitmap)
+    EXPECT_NE(out.find("tables keyed at level 2"), std::string::npos) << out;
+    EXPECT_NE(out.find(scattered ? "3 of 3 rank(s) fell back"
+                                 : "0 of 3 rank(s) fell back"),
+              std::string::npos)
         << out;
 
     const mafia::JsonValue doc = mafia::json_parse(slurp(report));
@@ -291,8 +313,10 @@ TEST_F(CliPipeline, TransactionTableLedgerInReport) {
     EXPECT_EQ(levels[0].at("populate_rows").number, 22000.0);
     for (std::size_t i = 1; i < levels.size(); ++i) {
       EXPECT_EQ(levels[i].at("populate_source").string,
-                bitmap ? "records" : "table");
-      if (bitmap) {
+                scattered ? "records" : "table");
+      EXPECT_EQ(levels[i].at("populate_kernel").string,
+                scattered ? "bitmap" : "packed");
+      if (scattered) {
         EXPECT_EQ(levels[i].at("populate_rows").number, 22000.0);
       } else {
         EXPECT_GT(levels[i].at("populate_rows").number, 0.0);
@@ -300,10 +324,11 @@ TEST_F(CliPipeline, TransactionTableLedgerInReport) {
       }
     }
     const auto& pk = doc.at("populate_kernel");
-    EXPECT_EQ(pk.at("table_built_level").number, bitmap ? 0.0 : 2.0);
-    EXPECT_EQ(pk.at("table_fallback_ranks").number, 0.0);
-    EXPECT_EQ(pk.at("table_rows_max").number > 0.0, !bitmap);
-    EXPECT_EQ(pk.at("table_bytes_max").number > 0.0, !bitmap);
+    EXPECT_EQ(pk.at("table_built_level").number, 2.0);
+    EXPECT_EQ(pk.at("table_fallback_ranks").number, scattered ? 3.0 : 0.0);
+    // An abandoned table reports the size that crossed its cap.
+    EXPECT_GT(pk.at("table_rows_max").number, 0.0);
+    EXPECT_GT(pk.at("table_bytes_max").number, 0.0);
   }
 }
 
@@ -444,18 +469,41 @@ TEST(CliErrors, ExitCodesDistinguishFailureClasses) {
   std::remove(data.c_str());
 }
 
-TEST(CliErrors, UnknownPopulateKernelFails) {
-  const std::string data = temp("mafia_cli_kernel.bin");
+TEST(CliErrors, UnknownFlagsExitWithUsageCode) {
+  // Every subcommand rejects a flag it does not accept — a misspelling, a
+  // flag of another subcommand, or the removed --populate-kernel — instead
+  // of ignoring it; the message names the flag.
+  const std::string data = temp("mafia_cli_flags.bin");
   ASSERT_EQ(run_cli("generate --out " + data + " --dims 4 --records 2000"
                     " --seed 3")
                 .first,
             0);
-  auto [status, out] =
-      run_cli("cluster --data " + data + " --populate-kernel simd");
+  for (const std::string& flag :
+       {std::string("--populate-kernal bitmap"), std::string("--rnaks 9"),
+        std::string("--populate-kernel bitmap"), std::string("--listen x")}) {
+    auto [status, out] = run_cli("cluster --data " + data + " " + flag);
+    EXPECT_EQ(status, 2) << flag << "\n" << out;
+    const std::string name = flag.substr(0, flag.find(' '));
+    EXPECT_NE(out.find("unknown flag " + name), std::string::npos) << out;
+  }
+  auto [gen_status, gen_out] =
+      run_cli("generate --out " + data + " --data " + data);
+  EXPECT_EQ(gen_status, 2) << gen_out;
+  EXPECT_NE(gen_out.find("unknown flag --data"), std::string::npos) << gen_out;
+
+  // With --report-json the failure is a pmafia-error-v1 document of class
+  // usage.
+  const std::string report = temp("mafia_cli_flags_error.json");
+  auto [status, out] = run_cli("cluster --data " + data +
+                               " --populate-kernel bitmap --report-json " +
+                               report);
   EXPECT_EQ(status, 2) << out;
-  EXPECT_NE(out.find("must be auto, memcmp, or bitmap"),
-            std::string::npos)
-      << out;
+  const mafia::JsonValue doc = mafia::json_parse(slurp(report));
+  EXPECT_EQ(doc.at("schema").string, "pmafia-error-v1");
+  EXPECT_EQ(doc.at("error").at("class").string, "usage");
+  EXPECT_NE(doc.at("error").at("message").string.find("--populate-kernel"),
+            std::string::npos);
+  std::remove(report.c_str());
   std::remove(data.c_str());
 }
 

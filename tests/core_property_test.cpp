@@ -8,6 +8,7 @@
 //     units, subspaces ascending, trace monotone in the right places.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -251,67 +252,108 @@ TEST(Invariance, SpmdDeterminismSweepAcrossRankCounts) {
   }
 }
 
-TEST(Invariance, PopulateKernelSelectionDoesNotChangeResults) {
-  // Forcing the memcmp fallback, the bitmap index kernel, and odd block
-  // sizes must all reproduce the packed-kernel results exactly, through
-  // the full driver.
-  const Dataset data = invariance_data();
-  InMemorySource source(data);
-  MafiaOptions reference;
-  reference.fixed_domain = {{0.0f, 100.0f}};
-  const MafiaResult expect = run_mafia(source, reference);
+/// Half copies of one point, half rows near one of ten peaks per dim
+/// chosen independently: a serial run's transaction table passes its cap
+/// and every level streams records, while at p >= 2 the leading ranks'
+/// one-point partitions keep their tables.
+Dataset split_table_data() {
+  Dataset data(6);
+  const std::vector<Value> point(6, 35.0f);
+  for (int r = 0; r < 2000; ++r) data.append(point);
+  IcgRandom rng(37);
+  std::vector<Value> row(6);
+  for (int r = 0; r < 2000; ++r) {
+    for (auto& v : row) {
+      v = static_cast<Value>(10.0 * static_cast<double>(uniform_index(rng, 10)) +
+                             5.0 + uniform_real(rng, -1.0, 1.0));
+    }
+    data.append(row);
+  }
+  return data;
+}
 
-  for (const PopulateKernel kernel :
-       {PopulateKernel::Auto, PopulateKernel::Memcmp,
-        PopulateKernel::Bitmap}) {
+/// True when every level of `r` streamed records (no rank kept a table).
+bool streamed_every_level(const MafiaResult& r) {
+  for (const LevelTrace& t : r.levels) {
+    if (t.populate_source != kPopulateSourceRecords) return false;
+  }
+  return true;
+}
+
+TEST(Invariance, PopulateKernelSelectionDoesNotChangeResults) {
+  // The row source picks the sweep: on invariance_data levels >= 2 sweep
+  // the table through the lookups, on split_table_data every level streams
+  // records through the bitmap sweep.  Odd block sizes and hash thresholds
+  // that force the hash lookup on and off must reproduce the default
+  // results exactly, through the full driver.
+  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+  for (const bool split : {false, true}) {
+    const Dataset data = split ? split_table_data() : invariance_data();
+    InMemorySource source(data);
+    MafiaOptions reference;
+    reference.fixed_domain = {{0.0f, 100.0f}};
+    const MafiaResult expect = run_mafia(source, reference);
+    ASSERT_GE(expect.levels.size(), 2u);
+    ASSERT_EQ(streamed_every_level(expect), split);
+
     for (const std::size_t block : {std::size_t{1}, std::size_t{37},
                                     std::size_t{4096}}) {
-      MafiaOptions options = reference;
-      options.populate.kernel = kernel;
-      options.populate.block_records = block;
-      const MafiaResult got = run_mafia(source, options);
-      EXPECT_EQ(signature(expect), signature(got))
-          << "kernel=" << static_cast<int>(kernel) << " block=" << block;
-      ASSERT_EQ(expect.levels.size(), got.levels.size());
-      for (std::size_t l = 0; l < expect.levels.size(); ++l) {
-        EXPECT_EQ(expect.levels[l].count_checksum,
-                  got.levels[l].count_checksum)
-            << "kernel=" << static_cast<int>(kernel) << " block=" << block
-            << " level=" << expect.levels[l].level;
+      for (const std::size_t hash_min : {std::size_t{1}, kNever}) {
+        MafiaOptions options = reference;
+        options.populate.block_records = block;
+        options.populate.hash_min_cdus = hash_min;
+        const MafiaResult got = run_mafia(source, options);
+        EXPECT_EQ(signature(expect), signature(got))
+            << "split=" << split << " block=" << block
+            << " hash_min=" << hash_min;
+        ASSERT_EQ(expect.levels.size(), got.levels.size());
+        for (std::size_t l = 0; l < expect.levels.size(); ++l) {
+          EXPECT_EQ(expect.levels[l].count_checksum,
+                    got.levels[l].count_checksum)
+              << "split=" << split << " block=" << block
+              << " hash_min=" << hash_min
+              << " level=" << expect.levels[l].level;
+        }
       }
     }
   }
 }
 
 TEST(Invariance, BitmapKernelIsRankInvariant) {
-  // The bitmap kernel's per-rank bit ranges follow the SPMD record
-  // partition, so its AND-reduction runs over different local row counts at
-  // every p.  Counts, cluster signatures, and the unjoined-DU report must
-  // still be bit-identical to the serial packed-kernel reference across the
-  // rank sweep.
-  const Dataset data = invariance_data();
-  InMemorySource source(data);
-  MafiaOptions reference;
-  reference.fixed_domain = {{0.0f, 100.0f}};
-  reference.tau = 2;
-  const MafiaResult expect = run_pmafia(source, reference, 1);
+  // The bitmap sweep's blocks follow the SPMD record partition, so its
+  // AND-reduction runs over different local blocks at every p, and on
+  // split_table_data the serial run streams every level while the
+  // parallel runs keep tables on some ranks.  Counts, cluster signatures,
+  // and the unjoined-DU report must still be bit-identical to the serial
+  // reference across the rank sweep.
+  for (const bool split : {false, true}) {
+    const Dataset data = split ? split_table_data() : invariance_data();
+    InMemorySource source(data);
+    MafiaOptions options;
+    options.fixed_domain = {{0.0f, 100.0f}};
+    options.tau = 2;
+    const MafiaResult expect = run_pmafia(source, options, 1);
+    ASSERT_EQ(streamed_every_level(expect), split);
 
-  MafiaOptions options = reference;
-  options.populate.kernel = PopulateKernel::Bitmap;
-  for (const int p : {1, 2, 3, 5, 8}) {
-    const MafiaResult got = run_pmafia(source, options, p);
-    EXPECT_EQ(signature(expect), signature(got)) << "p=" << p;
-    ASSERT_EQ(expect.levels.size(), got.levels.size()) << "p=" << p;
-    for (std::size_t l = 0; l < expect.levels.size(); ++l) {
-      EXPECT_EQ(expect.levels[l].count_checksum, got.levels[l].count_checksum)
-          << "p=" << p << " level=" << expect.levels[l].level;
-      EXPECT_EQ(expect.levels[l].unjoined_dus, got.levels[l].unjoined_dus)
-          << "p=" << p << " level=" << expect.levels[l].level;
-      EXPECT_EQ(expect.levels[l].unjoined_units, got.levels[l].unjoined_units)
-          << "p=" << p << " level=" << expect.levels[l].level;
+    for (const int p : {1, 2, 3, 5, 8}) {
+      const MafiaResult got = run_pmafia(source, options, p);
+      if (split && p > 1) {
+        EXPECT_LT(got.populate_kernel.table_fallback_ranks,
+                  static_cast<std::size_t>(p)) << "p=" << p;
+      }
+      EXPECT_EQ(signature(expect), signature(got)) << "p=" << p;
+      ASSERT_EQ(expect.levels.size(), got.levels.size()) << "p=" << p;
+      for (std::size_t l = 0; l < expect.levels.size(); ++l) {
+        EXPECT_EQ(expect.levels[l].count_checksum, got.levels[l].count_checksum)
+            << "p=" << p << " level=" << expect.levels[l].level;
+        EXPECT_EQ(expect.levels[l].unjoined_dus, got.levels[l].unjoined_dus)
+            << "p=" << p << " level=" << expect.levels[l].level;
+        EXPECT_EQ(expect.levels[l].unjoined_units, got.levels[l].unjoined_units)
+            << "p=" << p << " level=" << expect.levels[l].level;
+      }
+      EXPECT_EQ(expect.total_unjoined_dus(), got.total_unjoined_dus())
+          << "p=" << p;
     }
-    EXPECT_EQ(expect.total_unjoined_dus(), got.total_unjoined_dus())
-        << "p=" << p;
   }
 }
 

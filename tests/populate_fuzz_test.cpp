@@ -1,7 +1,8 @@
-// Fuzz tests for CDU population: the production kernels (packed sorted,
-// packed hash, memcmp fallback) against the naive reference oracle
-// (tests/populate_oracle.hpp), over randomized grids, candidates, and
-// records.
+// Fuzz tests for CDU population: both production sweeps — the bitmap
+// sweep over records, and the lookups (packed sorted, packed hash, memcmp
+// past k = 8) over a transaction table of the same records — against the
+// naive reference oracle (tests/populate_oracle.hpp), over randomized
+// grids, candidates, and records.
 //
 // Regression note: the populator's memcmp-based row sort/search once used a
 // length of `k` elements where bytes were required.  With BinId = uint8_t
@@ -13,6 +14,7 @@
 // that would break first if the byte width regressed.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "rng/distributions.hpp"
 #include "rng/icg.hpp"
 #include "units/populate.hpp"
+#include "units/transaction_table.hpp"
 
 namespace mafia {
 namespace {
@@ -84,8 +87,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PopulateFuzz,
 
 // Packed-key path fuzz: arity mixes straddling the k = 8 fast-path
 // boundary (k in 6..10 crosses packed -> memcmp fallback), with random
-// block sizes and hash thresholds, each instance run under every explicit
-// kernel selection and compared count-for-count against the oracle.
+// block sizes and hash thresholds, each instance run through both row
+// sources and compared count-for-count against the oracle.
 class PackedKeyFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PackedKeyFuzz, StraddlesPackedBoundaryAgainstOracle) {
@@ -103,20 +106,28 @@ TEST_P(PackedKeyFuzz, StraddlesPackedBoundaryAgainstOracle) {
   }
   const auto expected = oracle_counts(grids, cdus, rows.data(), nrows);
 
-  for (const PopulateKernel kernel :
-       {PopulateKernel::Auto, PopulateKernel::Auto, PopulateKernel::Memcmp}) {
+  TransactionTable table(grids, cdus, std::numeric_limits<std::size_t>::max());
+  table.accumulate(rows.data(), nrows);
+  table.finish();
+
+  for (int round = 0; round < 3; ++round) {
     PopulateConfig cfg;
-    cfg.kernel = kernel;
     cfg.block_records = 1 + uniform_index(rng, 512);
     cfg.hash_min_cdus = 1 + uniform_index(rng, 2 * ncdu);
-    UnitPopulator pop(grids, cdus, cfg);
-    pop.accumulate(rows.data(), nrows);
-    ASSERT_EQ(pop.counts().size(), expected.size());
-    for (std::size_t u = 0; u < expected.size(); ++u) {
-      ASSERT_EQ(pop.counts()[u], expected[u])
-          << "cdu " << cdus.to_string(u) << " k=" << k
-          << " kernel=" << static_cast<int>(kernel)
-          << " block=" << cfg.block_records;
+    for (const bool swept_table : {false, true}) {
+      UnitPopulator pop(grids, cdus, cfg);
+      if (swept_table) {
+        pop.accumulate(table);
+      } else {
+        pop.accumulate(rows.data(), nrows);
+      }
+      ASSERT_EQ(pop.counts().size(), expected.size());
+      for (std::size_t u = 0; u < expected.size(); ++u) {
+        ASSERT_EQ(pop.counts()[u], expected[u])
+            << "cdu " << cdus.to_string(u) << " k=" << k
+            << " source=" << (swept_table ? "table" : "records")
+            << " block=" << cfg.block_records;
+      }
     }
   }
 }

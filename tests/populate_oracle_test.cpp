@@ -1,13 +1,15 @@
-// Oracle-differential proof of the populate kernels.
+// Oracle-differential proof of the populate sweeps.
 //
-// Every production lookup kernel (packed/sorted, packed/hash, memcmp
-// fallback) is driven over the same instances as the naive reference
-// oracle (tests/populate_oracle.hpp) and must produce identical counts.
-// The instances cover the kernel's adversarial surface explicitly — k = 1,
-// the k = 8/9 packed-key boundary, a 256-bin dimension (full BinId range),
-// duplicate bin rows across and within subspaces, records outside every
-// CDU — plus randomized differential sweeps over datagen workloads with
-// planted subspace clusters.
+// Both row sources are driven over the same instances as the naive
+// reference oracle (tests/populate_oracle.hpp) and must produce identical
+// counts: records through the bitmap sweep, and a transaction table built
+// from the same records through the lookups (packed/sorted, packed/hash,
+// and the memcmp rows past the k = 8 packed-key limit).  The instances
+// cover the adversarial surface explicitly — k = 1, the k = 8/9 packed-key
+// boundary, a 256-bin dimension (full BinId range), duplicate bin rows
+// across and within subspaces, records outside every CDU, block sizes
+// around the 64-bit word — plus randomized differential sweeps over
+// datagen workloads with planted subspace clusters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,31 +24,38 @@
 #include "rng/distributions.hpp"
 #include "rng/icg.hpp"
 #include "units/populate.hpp"
+#include "units/transaction_table.hpp"
 
 namespace mafia {
 namespace {
 
-/// Kernel/block/table configurations every differential case runs under:
-/// both kernels, block sizes straddling the record counts (1 record, odd,
-/// power of two, larger than the data), and hash thresholds forcing the
+/// Block/hash configurations every differential case runs under: block
+/// sizes straddling the record counts and the 64-bit word (1 record, odd,
+/// one word, larger than the data), and hash thresholds forcing the
 /// open-addressing table on and off.
-std::vector<PopulateConfig> kernel_matrix() {
+std::vector<PopulateConfig> config_matrix() {
   constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
   return {
-      {2048, PopulateKernel::Auto, 48},     // production defaults
-      {1, PopulateKernel::Auto, 48},        // single-record blocks
-      {3, PopulateKernel::Auto, 1},       // odd blocks, hash table always
-      {64, PopulateKernel::Auto, kNever}, // sorted-array search always
-      {2048, PopulateKernel::Memcmp, 48},   // forced byte-row fallback
-      {7, PopulateKernel::Memcmp, 48},
-      {2048, PopulateKernel::Bitmap, 48},   // bitmap index, large blocks
-      {3, PopulateKernel::Bitmap, 48},      // bitmap index, odd tiny blocks
+      {2048, 48},    // production defaults
+      {1, 48},       // single-record blocks
+      {3, 1},        // odd blocks, hash table always
+      {64, kNever},  // one-word blocks, sorted-array search always
+      {7, 48},
   };
 }
 
-/// Runs every kernel configuration over the instance (splitting the rows
-/// into two accumulate calls to exercise chunk boundaries) and asserts
-/// count-exact agreement with the oracle.
+/// `rows` folded into a finished transaction table keyed on `cdus`.
+TransactionTable table_of(const GridSet& grids, const UnitStore& cdus,
+                          const std::vector<Value>& rows) {
+  TransactionTable t(grids, cdus, std::numeric_limits<std::size_t>::max());
+  t.accumulate(rows.data(), rows.size() / grids.num_dims());
+  t.finish();
+  return t;
+}
+
+/// Runs every configuration over the instance through both row sources —
+/// the records in two accumulate calls (a chunk boundary), and their
+/// transaction table — and asserts count-exact agreement with the oracle.
 void expect_all_kernels_match_oracle(const GridSet& grids,
                                      const UnitStore& cdus,
                                      const std::vector<Value>& rows) {
@@ -54,18 +63,25 @@ void expect_all_kernels_match_oracle(const GridSet& grids,
   const std::size_t nrows = rows.size() / d;
   const std::vector<Count> expected =
       oracle_counts(grids, cdus, rows.data(), nrows);
+  const TransactionTable table = table_of(grids, cdus, rows);
+  ASSERT_FALSE(table.abandoned());
 
-  for (const PopulateConfig& cfg : kernel_matrix()) {
-    UnitPopulator pop(grids, cdus, cfg);
+  for (const PopulateConfig& cfg : config_matrix()) {
+    UnitPopulator records(grids, cdus, cfg);
     const std::size_t split = nrows / 3;
-    pop.accumulate(rows.data(), split);
-    pop.accumulate(rows.data() + split * d, nrows - split);
-    ASSERT_EQ(pop.counts().size(), expected.size());
-    for (std::size_t u = 0; u < expected.size(); ++u) {
-      ASSERT_EQ(pop.counts()[u], expected[u])
-          << "cdu " << cdus.to_string(u) << " block=" << cfg.block_records
-          << " kernel=" << static_cast<int>(cfg.kernel)
-          << " hash_min=" << cfg.hash_min_cdus;
+    records.accumulate(rows.data(), split);
+    records.accumulate(rows.data() + split * d, nrows - split);
+    UnitPopulator swept(grids, cdus, cfg);
+    swept.accumulate(table);
+    for (const UnitPopulator* pop : {&records, &swept}) {
+      const char* source = pop == &records ? "records" : "table";
+      ASSERT_EQ(pop->counts().size(), expected.size());
+      for (std::size_t u = 0; u < expected.size(); ++u) {
+        ASSERT_EQ(pop->counts()[u], expected[u])
+            << "cdu " << cdus.to_string(u) << " source=" << source
+            << " block=" << cfg.block_records
+            << " hash_min=" << cfg.hash_min_cdus;
+      }
     }
   }
 }
@@ -104,8 +120,8 @@ TEST(PopulateOracle, PackedKeyBoundaryKEight) {
 }
 
 TEST(PopulateOracle, PackedKeyBoundaryKNine) {
-  // k = 9: one past the packed-key limit — every kernel selection must
-  // agree because the packed path silently falls back to memcmp rows.
+  // k = 9: one past the packed-key limit — the table sweep falls back to
+  // the memcmp rows and must agree all the same.
   IcgRandom rng(103);
   const GridSet grids = uniform_grids(12, 8);
   const UnitStore cdus = random_cdus(rng, grids, 9, 120);
@@ -238,9 +254,10 @@ TEST(PopulateOracle, HashTableKeepsHeadroomAtPowerOfTwoMemberCounts) {
   const std::vector<Value> rows = random_rows(rng, 1500, 6);
   const std::vector<Count> expected =
       oracle_counts(grids, cdus, rows.data(), 1500);
-  const PopulateConfig force_hash{2048, PopulateKernel::Auto, 1};
+  const PopulateConfig force_hash{2048, 1};
   UnitPopulator pop(grids, cdus, force_hash);
-  pop.accumulate(rows.data(), 1500);
+  pop.accumulate(table_of(grids, cdus, rows));
+  ASSERT_EQ(pop.kernel_stats().packed_hash_subspaces, 1u);
   ASSERT_EQ(pop.counts().size(), expected.size());
   for (std::size_t u = 0; u < expected.size(); ++u) {
     ASSERT_EQ(pop.counts()[u], expected[u]) << "cdu " << cdus.to_string(u);
@@ -248,17 +265,16 @@ TEST(PopulateOracle, HashTableKeepsHeadroomAtPowerOfTwoMemberCounts) {
 }
 
 TEST(PopulateOracle, BitmapKernelSupportsInterleavedCountsAndAccumulate) {
-  // The bitmap kernel finalizes lazily: counts() AND-reduces only the word
-  // range appended since the last finalize.  Interleaving reads with
-  // further accumulation — which the SPMD loop does across chunk
+  // Every accumulate() leaves complete counts behind: interleaving reads
+  // with further accumulation — which the SPMD loop does across chunk
   // boundaries — must yield exact prefix counts at every step, including
-  // reads at non-multiple-of-64 row watermarks (partial head word).
+  // chunks that end mid-word and mid-block.
   IcgRandom rng(109);
   const GridSet grids = uniform_grids(7, 9);
   const UnitStore cdus = random_cdus(rng, grids, 3, 70);
   const std::vector<Value> rows = random_rows(rng, 1000, 7);
 
-  const PopulateConfig cfg{256, PopulateKernel::Bitmap, 48};
+  const PopulateConfig cfg{256, 48};
   UnitPopulator pop(grids, cdus, cfg);
   std::size_t done = 0;
   for (const std::size_t chunk : {37u, 1u, 64u, 200u, 500u, 198u}) {
@@ -273,9 +289,76 @@ TEST(PopulateOracle, BitmapKernelSupportsInterleavedCountsAndAccumulate) {
     }
   }
   ASSERT_EQ(done, 1000u);
-  // A read with no new rows since the last finalize is a no-op.
+  // A read with no new rows in between changes nothing.
   const std::vector<Count> again(pop.counts().begin(), pop.counts().end());
   EXPECT_EQ(again, oracle_counts(grids, cdus, rows.data(), 1000));
+}
+
+TEST(PopulateOracle, BitmapSweepAcrossBlockSizesWithSeedsInterleaved) {
+  // The bitmap sweep clears and refills its bitsets per block: blocks of
+  // one record, one short of a word, one word, one past a word and the
+  // production size, over chunks that leave a partial final block, with
+  // seed_counts folded in between chunks.  Counts are additive, so the
+  // result is the oracle count of all rows plus every seed.
+  IcgRandom rng(110);
+  const GridSet grids = uniform_grids(8, 4);
+  for (const std::size_t k : {1u, 2u, 4u}) {
+    const UnitStore cdus = random_cdus(rng, grids, k, 90);
+    const std::size_t nrows = 2500;  // not a multiple of any block below
+    const std::vector<Value> rows = random_rows(rng, nrows, 8);
+    std::vector<Count> seed(cdus.size());
+    for (auto& c : seed) c = uniform_index(rng, 1000);
+    // Three chunks, each followed by a seed.
+    std::vector<Count> expected = oracle_counts(grids, cdus, rows.data(), nrows);
+    for (std::size_t u = 0; u < expected.size(); ++u) expected[u] += 3 * seed[u];
+
+    for (const std::size_t block : {1u, 63u, 64u, 65u, 2048u}) {
+      UnitPopulator pop(grids, cdus, {block, 48});
+      std::size_t done = 0;
+      for (const std::size_t chunk : {700u, 129u, 1671u}) {
+        pop.accumulate(rows.data() + done * 8, chunk);
+        done += chunk;
+        pop.seed_counts(seed);
+      }
+      ASSERT_EQ(done, nrows);
+      EXPECT_EQ(pop.counts(), expected) << "k=" << k << " block=" << block;
+      EXPECT_EQ(pop.kernel_stats().bitmap_subspaces, pop.num_subspaces());
+    }
+  }
+}
+
+TEST(PopulateOracle, TableSweepsAtThePackedKeyBoundary) {
+  // A table is the only row source that reaches the lookups: k = 8 sweeps
+  // it through the packed keys (sorted and hash), k = 9 through the memcmp
+  // rows.  Both must match the oracle, and the stats name the sweep.
+  IcgRandom rng(111);
+  const GridSet grids = uniform_grids(12, 2);
+  const std::vector<Value> rows = random_rows(rng, 3000, 12);
+  for (const std::size_t k : {8u, 9u}) {
+    const UnitStore cdus = random_cdus(rng, grids, k, 200);
+    const TransactionTable table = table_of(grids, cdus, rows);
+    ASSERT_FALSE(table.abandoned());
+    const std::vector<Count> expected =
+        oracle_counts(grids, cdus, rows.data(), 3000);
+    for (const PopulateConfig& cfg : config_matrix()) {
+      UnitPopulator pop(grids, cdus, cfg);
+      pop.accumulate(table);
+      EXPECT_EQ(pop.counts(), expected)
+          << "k=" << k << " block=" << cfg.block_records
+          << " hash_min=" << cfg.hash_min_cdus;
+      const PopulateKernelStats& st = pop.kernel_stats();
+      EXPECT_EQ(st.bitmap_subspaces, 0u);
+      EXPECT_EQ(st.bitmap_words_anded, 0u);
+      if (k == 8) {
+        EXPECT_EQ(st.memcmp_subspaces, 0u);
+        EXPECT_EQ(st.packed_sorted_subspaces + st.packed_hash_subspaces,
+                  pop.num_subspaces());
+      } else {
+        EXPECT_EQ(st.memcmp_subspaces, pop.num_subspaces());
+        EXPECT_EQ(st.packed_sorted_subspaces + st.packed_hash_subspaces, 0u);
+      }
+    }
+  }
 }
 
 // ------------------------------------------- randomized datagen workloads
@@ -315,55 +398,55 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PopulateOracleDatagen,
 
 TEST(PopulateBudget, AuxiliaryBytesCountEveryLookupVector) {
   // --max-cdu-bytes budgets auxiliary_bytes(), so it must cover every
-  // per-CDU vector each kernel allocates.  Recompute them from the CDU
-  // store alone: per subspace of m members, the sorted-row -> CDU index
-  // (4 B each, every kernel) plus the packed keys (8 B) and hash slots
-  // (4 B per slot), or the memcmp byte rows (k B), or the bitmap ids
-  // (4k B) with the bitmap index (one bitset per used (dim, bin) pair and
-  // the (dim, bin) map).
+  // per-CDU vector either sweep allocates, and it must follow from the CDU
+  // store alone.  Recompute it: per subspace of m members, the sorted-row
+  // -> CDU index (4 B each) and the bitmap ids (4k B), plus the packed keys
+  // (8 B) and hash slots (4 B per slot) for k <= 8 or the memcmp byte rows
+  // (k B) for k > 8; plus one block of bitsets — block_records bits,
+  // rounded up to whole words, per (dim, bin) pair some CDU uses.
   IcgRandom rng(301);
-  const GridSet grids = uniform_grids(7, 9);
-  const std::size_t k = 3;
-  const std::size_t nrows = 1000;
-  const UnitStore cdus = random_cdus(rng, grids, k, 400);
-  std::map<std::vector<DimId>, std::size_t> members;
-  std::set<std::pair<DimId, BinId>> items;
-  for (std::size_t u = 0; u < cdus.size(); ++u) {
-    const auto d = cdus.dims(u);
-    ++members[std::vector<DimId>(d.begin(), d.end())];
-    for (std::size_t i = 0; i < k; ++i) items.insert({d[i], cdus.bins(u)[i]});
-  }
-  ASSERT_GT(members.size(), 10u);
-
   const std::size_t hash_min = 12;
-  std::size_t packed = 0;
-  std::size_t memcmp_rows = 0;
-  std::size_t bitmap = items.size() * ((nrows + 63) / 64) * 8 +
-                       grids.num_dims() * kMaxBinsPerDim * 4;
-  bool saw_hash = false;
-  bool saw_sorted = false;
-  for (const auto& [dims, m] : members) {
-    packed += 4 * m + 8 * m;
-    if (m >= hash_min) {
-      packed += 4 * hash_table_capacity(m);
-      saw_hash = true;
-    } else {
-      saw_sorted = true;
+  for (const std::size_t k : {3u, 9u}) {
+    const std::size_t d = k == 3 ? 7 : 10;  // 35 and 10 subspaces
+    const GridSet grids = uniform_grids(d, 9);
+    const UnitStore cdus = random_cdus(rng, grids, k, 400);
+    std::map<std::vector<DimId>, std::size_t> members;
+    std::set<std::pair<DimId, BinId>> items;
+    for (std::size_t u = 0; u < cdus.size(); ++u) {
+      const auto d = cdus.dims(u);
+      ++members[std::vector<DimId>(d.begin(), d.end())];
+      for (std::size_t i = 0; i < k; ++i) items.insert({d[i], cdus.bins(u)[i]});
     }
-    memcmp_rows += 4 * m + k * m;
-    bitmap += 4 * m + 4 * k * m;
-  }
-  ASSERT_TRUE(saw_hash && saw_sorted);
 
-  EXPECT_EQ(UnitPopulator(grids, cdus, {2048, PopulateKernel::Auto, hash_min})
-                .auxiliary_bytes(nrows),
-            packed);
-  EXPECT_EQ(UnitPopulator(grids, cdus, {2048, PopulateKernel::Memcmp, hash_min})
-                .auxiliary_bytes(nrows),
-            memcmp_rows);
-  EXPECT_EQ(UnitPopulator(grids, cdus, {2048, PopulateKernel::Bitmap, hash_min})
-                .auxiliary_bytes(nrows),
-            bitmap);
+    std::size_t lookups = 0;
+    bool saw_hash = false;
+    bool saw_sorted = false;
+    for (const auto& [dims, m] : members) {
+      lookups += 4 * m + 4 * k * m;
+      if (k > kPackedKeyMaxDims) {
+        lookups += k * m;
+      } else {
+        lookups += 8 * m;
+        if (m >= hash_min) {
+          lookups += 4 * hash_table_capacity(m);
+          saw_hash = true;
+        } else {
+          saw_sorted = true;
+        }
+      }
+    }
+    if (k == 3) ASSERT_TRUE(saw_hash && saw_sorted);
+
+    for (const std::size_t block : {1u, 64u, 65u, 2048u}) {
+      UnitPopulator pop(grids, cdus, {block, hash_min});
+      const std::size_t bitsets = items.size() * ((block + 63) / 64) * 8;
+      EXPECT_EQ(pop.auxiliary_bytes(), lookups + bitsets)
+          << "k=" << k << " block=" << block;
+      // Counting rows does not change it: the bitsets never outgrow a block.
+      pop.accumulate(random_rows(rng, 300, d).data(), 300);
+      EXPECT_EQ(pop.auxiliary_bytes(), lookups + bitsets);
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // record-at-a-time count, so the unit tests pin it against the naive oracle
 // (tests/populate_oracle.hpp), and the driver differentials pin whole runs
 // — per-level count checksums, clusters and saved model bytes — against a
-// reference level loop that populates with the oracle and against the
-// forced-Bitmap kernel, which always streams records.  The cap and its
+// reference level loop that populates with the oracle.  The runs compared
+// include ones whose tables fall back to streamed records.  The cap and its
 // fallback are covered on both triggers (the partition share and
 // --max-cdu-bytes), on an adversarial all-distinct dataset, on a dataset
 // where only some ranks fall back, across kill-and-resume at every
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/assembly.hpp"
 #include "core/checkpoint.hpp"
 #include "core/mafia.hpp"
 #include "core/mdl.hpp"
@@ -115,18 +116,11 @@ UnitStore units_over_items(IcgRandom& rng, const UnitStore& base,
   return out;
 }
 
-/// Every lookup kernel that can sweep a table, with block sizes straddling
-/// the table's row count.
-std::vector<PopulateConfig> table_kernels() {
+/// Block sizes straddling the table's row count, with the hash lookup
+/// forced on and off (k > 8 stores sweep the memcmp rows regardless).
+std::vector<PopulateConfig> table_configs() {
   constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
-  return {
-      {2048, PopulateKernel::Auto, 48},
-      {1, PopulateKernel::Auto, 48},
-      {3, PopulateKernel::Auto, 1},
-      {64, PopulateKernel::Auto, kNever},
-      {2048, PopulateKernel::Memcmp, 48},
-      {7, PopulateKernel::Memcmp, 48},
-  };
+  return {{2048, 48}, {1, 48}, {3, 1}, {64, kNever}, {7, 48}};
 }
 
 void expect_table_counts_match_oracle(const GridSet& grids,
@@ -136,12 +130,11 @@ void expect_table_counts_match_oracle(const GridSet& grids,
   ASSERT_TRUE(table.covers(cdus));
   const std::size_t n = rows.size() / grids.num_dims();
   const std::vector<Count> expected = oracle_counts(grids, cdus, rows.data(), n);
-  for (const PopulateConfig& cfg : table_kernels()) {
+  for (const PopulateConfig& cfg : table_configs()) {
     UnitPopulator pop(grids, cdus, cfg);
     pop.accumulate(table);
     ASSERT_EQ(pop.counts(), expected)
         << "k=" << cdus.k() << " block=" << cfg.block_records
-        << " kernel=" << static_cast<int>(cfg.kernel)
         << " hash_min=" << cfg.hash_min_cdus;
   }
 }
@@ -308,15 +301,34 @@ TEST(TransactionTable, CoversOnlyTheItemsItWasKeyedOn) {
   EXPECT_FALSE(t.covers(other_dim));
 }
 
-TEST(TransactionTable, BitmapKernelRefusesTheTable) {
-  const GridSet grids = uniform_grids(4, 10);
+TEST(TransactionTable, RowSourcePicksTheSweep) {
+  // Records count through the bitmap sweep, a table through the lookups —
+  // the packed keys up to k = 8, the memcmp rows past it — and a populator
+  // fed both sources adds them up.
+  const GridSet grids = uniform_grids(10, 3);
   IcgRandom rng(207);
-  const UnitStore cdus = random_cdus(rng, grids, 2, 10);
-  const TransactionTable t = build(grids, cdus, random_rows(rng, 100, 4));
-  PopulateConfig cfg;
-  cfg.kernel = PopulateKernel::Bitmap;
-  UnitPopulator pop(grids, cdus, cfg);
-  EXPECT_THROW(pop.accumulate(t), Error);
+  const std::vector<Value> rows = random_rows(rng, 400, 10);
+  for (const std::size_t k : {2u, 9u}) {
+    const UnitStore cdus = random_cdus(rng, grids, k, 30);
+    const TransactionTable t = build(grids, cdus, rows);
+    UnitPopulator pop(grids, cdus);
+    pop.accumulate(t);
+    const PopulateKernelStats after_table = pop.kernel_stats();
+    EXPECT_EQ(after_table.bitmap_subspaces, 0u);
+    EXPECT_EQ(after_table.bitmap_bytes, 0u);
+    EXPECT_EQ(after_table.memcmp_subspaces, k > 8 ? pop.num_subspaces() : 0u);
+    EXPECT_EQ(after_table.packed_sorted_subspaces +
+                  after_table.packed_hash_subspaces,
+              k > 8 ? 0u : pop.num_subspaces());
+
+    pop.accumulate(rows.data(), 400);
+    EXPECT_EQ(pop.kernel_stats().bitmap_subspaces, pop.num_subspaces());
+    EXPECT_GT(pop.kernel_stats().bitmap_bytes, 0u);
+    EXPECT_GT(pop.kernel_stats().bitmap_words_anded, 0u);
+    std::vector<Count> twice = oracle_counts(grids, cdus, rows.data(), 400);
+    for (Count& c : twice) c *= 2;
+    EXPECT_EQ(pop.counts(), twice) << "k=" << k;
+  }
 }
 
 // ---------------------------------------------------- driver differentials
@@ -370,15 +382,16 @@ Dataset mixed_data() {
   return data;
 }
 
-/// The driver's level loop, serial, populating with the naive oracle:
-/// per-level count checksums over `grids` (taken from a production run —
-/// the grids are not under test here).
-std::vector<std::uint64_t> oracle_checksums(const Dataset& data,
-                                            const GridSet& grids,
-                                            const MafiaOptions& opt) {
+/// The driver's level loop, serial, populating with the naive oracle: a
+/// reference result (per-level count checksums and the clusters) that
+/// shares no populate code with production.  The grids are taken from a
+/// production run — they are not under test here.
+MafiaResult oracle_run(const Dataset& data, const MafiaOptions& opt) {
+  MafiaResult r;
+  r.grids = run_pmafia(InMemorySource(data), opt, 1).grids;
+  const GridSet& grids = r.grids;
   const auto n = static_cast<Count>(data.num_records());
   const DensityContext dctx{opt.grid.alpha, n};
-  std::vector<std::uint64_t> sums;
   UnitStore cdus(1);
   for (std::size_t j = 0; j < grids.num_dims(); ++j) {
     for (std::size_t b = 0; b < grids[j].num_bins(); ++b) {
@@ -387,11 +400,18 @@ std::vector<std::uint64_t> oracle_checksums(const Dataset& data,
       cdus.push_unchecked(&dj, &bb);
     }
   }
+  UnitStore prev_dense(1);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
+  std::vector<std::uint32_t> raw_to_unique;
+  std::vector<UnitStore> registered;
   for (std::size_t level = 1;; ++level) {
     const std::vector<Count> counts =
         oracle_counts(grids, cdus, data.values().data(),
                       static_cast<std::size_t>(data.num_records()));
-    sums.push_back(count_vector_checksum(counts));
+    LevelTrace t;
+    t.level = level;
+    t.count_checksum = count_vector_checksum(counts);
+    r.levels.push_back(t);
     std::vector<std::uint8_t> flags(cdus.size(), 0);
     identify_dense_units(cdus, counts, grids, opt.density, dctx, 0,
                          cdus.size(), flags);
@@ -418,16 +438,48 @@ std::vector<std::uint64_t> oracle_checksums(const Dataset& data,
         }
       }
     }
-    const UnitStore dense = build_dense_store(cdus, flags);
-    if (dense.empty() || level >= opt.max_level) break;
+    // A previous-level dense unit no dense child marked is maximal.
+    if (level > 1) {
+      std::vector<std::uint8_t> marked(prev_dense.size(), 0);
+      for (std::size_t i = 0; i < parents.size(); ++i) {
+        if (flags[raw_to_unique[i]]) {
+          marked[parents[i].first] = 1;
+          marked[parents[i].second] = 1;
+        }
+      }
+      UnitStore maximal(prev_dense.k());
+      for (std::size_t u = 0; u < prev_dense.size(); ++u) {
+        if (!marked[u]) {
+          maximal.push_unchecked(prev_dense.dims(u).data(),
+                                 prev_dense.bins(u).data());
+        }
+      }
+      if (!maximal.empty()) registered.push_back(std::move(maximal));
+    }
+    UnitStore dense = build_dense_store(cdus, flags);
+    if (dense.empty()) break;
     const bool bucketed =
         opt.join.kernel == JoinKernel::Bucketed && dense.k() >= 2;
-    JoinResult jr = bucketed ? bucket_join_dense_units(dense, opt.join_rule)
-                             : join_dense_units(dense, opt.join_rule);
-    if (jr.cdus.empty()) break;
-    cdus = dedup_hash(jr.cdus).unique;
+    JoinResult jr;
+    if (level < opt.max_level) {
+      jr = bucketed ? bucket_join_dense_units(dense, opt.join_rule)
+                    : join_dense_units(dense, opt.join_rule);
+    }
+    if (jr.cdus.empty()) {
+      registered.push_back(std::move(dense));
+      break;
+    }
+    DedupResult dd = dedup_hash(jr.cdus);
+    cdus = std::move(dd.unique);
+    raw_to_unique = std::move(dd.raw_to_unique);
+    parents = std::move(jr.parents);
+    prev_dense = std::move(dense);
   }
-  return sums;
+  r.clusters = assemble_clusters(registered);
+  std::erase_if(r.clusters, [&opt](const Cluster& c) {
+    return c.dims.size() < opt.min_cluster_dims;
+  });
+  return r;
 }
 
 std::vector<std::uint64_t> checksums(const MafiaResult& r) {
@@ -456,17 +508,6 @@ std::string model_bytes(const MafiaResult& r) {
                     std::istreambuf_iterator<char>());
   fs::remove(path);
   return bytes;
-}
-
-/// Streaming reference: the Bitmap kernel never sweeps a table.
-MafiaResult streaming_run(const DataSource& source, MafiaOptions opt, int p) {
-  opt.populate.kernel = PopulateKernel::Bitmap;
-  const MafiaResult r = run_pmafia(source, opt, p);
-  EXPECT_EQ(r.populate_kernel.table_built_level, 0u);
-  for (const LevelTrace& t : r.levels) {
-    EXPECT_EQ(t.populate_source, kPopulateSourceRecords);
-  }
-  return r;
 }
 
 void expect_same_answer(const MafiaResult& got, const MafiaResult& ref) {
@@ -506,22 +547,17 @@ void driver_matrix(mp::MpBackend backend) {
     for (const bool mdl : {false, true}) {
       MafiaOptions opt = base_options();
       opt.mdl_pruning = mdl;
-      const MafiaResult ref = streaming_run(source, opt, 2);
+      const MafiaResult ref = oracle_run(c.data, opt);
       ASSERT_GE(ref.levels.size(), 3u) << c.name;
-      const std::vector<std::uint64_t> oracle =
-          oracle_checksums(c.data, ref.grids, opt);
-      EXPECT_EQ(checksums(ref), oracle) << c.name << " mdl=" << mdl;
       for (const int p : {1, 3, 4}) {
-        for (const PopulateKernel pk :
-             {PopulateKernel::Auto, PopulateKernel::Memcmp}) {
+        for (const std::size_t block : {std::size_t{2048}, std::size_t{3}}) {
           SCOPED_TRACE(std::string(c.name) + " mdl=" + std::to_string(mdl) +
-                       " p=" + std::to_string(p) + " kernel=" +
-                       std::to_string(static_cast<int>(pk)));
+                       " p=" + std::to_string(p) +
+                       " block=" + std::to_string(block));
           MafiaOptions o = opt;
-          o.populate.kernel = pk;
+          o.populate.block_records = block;
           o.mp.backend = backend;
           const MafiaResult got = run_pmafia(source, o, p);
-          EXPECT_EQ(checksums(got), oracle);
           expect_same_answer(got, ref);
           expect_consistent_ledger(got, p);
           if (std::string(c.name) == "planted") {
@@ -555,9 +591,8 @@ TEST(TransactionTableDriver, MatrixMatchesOracleAndStreamingProcess) {
 TEST(TransactionTableDriver, AllDistinctRowsFallBackOnEveryRankExactly) {
   const Dataset data = all_distinct_data();
   InMemorySource source(data);
-  const MafiaResult ref = streaming_run(source, base_options(), 2);
+  const MafiaResult ref = oracle_run(data, base_options());
   ASSERT_GE(ref.levels.size(), 2u);
-  EXPECT_EQ(checksums(ref), oracle_checksums(data, ref.grids, base_options()));
   for (const int p : {1, 3, 4}) {
     SCOPED_TRACE("p=" + std::to_string(p));
     const MafiaResult got = run_pmafia(source, base_options(), p);
@@ -594,14 +629,18 @@ Dataset independent_peaks_data() {
 TEST(TransactionTableDriver, MaxCduBytesBelowTheTableFallsBackWithoutError) {
   const Dataset data = independent_peaks_data();
   InMemorySource source(data);
-  const MafiaResult free_run = run_pmafia(source, base_options(), 2);
+  // The budget also covers the populator's bitmap block (used bins x
+  // block_records bits); 64-record blocks keep it below the table.
+  MafiaOptions opt = base_options();
+  opt.populate.block_records = 64;
+  const MafiaResult free_run = run_pmafia(source, opt, 2);
   ASSERT_EQ(free_run.populate_kernel.table_fallback_ranks, 0u);
   const std::size_t table_bytes = free_run.populate_kernel.table_bytes_max;
   ASSERT_GT(table_bytes, 0u);
 
   // A budget every other component fits in but the table does not: the
   // run completes on streamed records instead of raising ResourceError.
-  MafiaOptions tight = base_options();
+  MafiaOptions tight = opt;
   tight.max_cdu_bytes = table_bytes - 1;
   const MafiaResult got = run_pmafia(source, tight, 2);
   EXPECT_EQ(got.populate_kernel.table_fallback_ranks, 2u);
@@ -609,7 +648,7 @@ TEST(TransactionTableDriver, MaxCduBytesBelowTheTableFallsBackWithoutError) {
     EXPECT_EQ(t.populate_source, kPopulateSourceRecords);
   }
   expect_same_answer(got, free_run);
-  expect_same_answer(got, streaming_run(source, base_options(), 2));
+  expect_same_answer(got, oracle_run(data, base_options()));
 }
 
 /// A fresh scratch directory under the system temp dir.
@@ -636,7 +675,7 @@ TEST(TransactionTableDriver, KillAndResumeAtEveryLevelRebuildsTheTable) {
   const Dataset data = planted_data();
   InMemorySource source(data);
   const int p = 3;
-  const MafiaResult ref = streaming_run(source, base_options(), p);
+  const MafiaResult ref = oracle_run(data, base_options());
 
   std::vector<std::size_t> resumed_levels;
   for (std::uint64_t op = 0;; ++op) {
@@ -708,7 +747,6 @@ TEST(TransactionTableDriver, AppendWithTheReuseChainIntactBuildsNoTable) {
   const Dataset base = planted_data(4000);
   const Dataset batch = planted_data(5, 91);
   const Dataset all = concat(base, batch);
-  InMemorySource all_source(all);
   ScratchDir dir("mafia_ttable_append_intact");
   const MafiaResult got = base_then_append(base, all, dir.path());
   ASSERT_EQ(got.append.levels_reused, got.levels.size());
@@ -717,7 +755,7 @@ TEST(TransactionTableDriver, AppendWithTheReuseChainIntactBuildsNoTable) {
     EXPECT_EQ(t.populate_source, kPopulateSourceRecords);
     EXPECT_EQ(t.populate_rows, batch.num_records());  // the batch only
   }
-  expect_same_answer(got, streaming_run(all_source, base_options(), 3));
+  expect_same_answer(got, oracle_run(all, base_options()));
 }
 
 TEST(TransactionTableDriver, AppendWithTheReuseChainBrokenSweepsTheTable) {
@@ -729,15 +767,12 @@ TEST(TransactionTableDriver, AppendWithTheReuseChainBrokenSweepsTheTable) {
   Dataset batch(6);
   append_distinct_rows(batch, 300, 41);
   const Dataset all = concat(base, batch);
-  InMemorySource all_source(all);
   ScratchDir dir("mafia_ttable_append_broken");
   const MafiaResult got = base_then_append(base, all, dir.path());
   ASSERT_GE(got.append.levels_rerun, 1u);
   ASSERT_GE(got.levels.size(), 2u);
   EXPECT_GE(got.populate_kernel.table_built_level, 2u);
-  const MafiaResult ref = streaming_run(all_source, base_options(), 3);
-  expect_same_answer(got, ref);
-  EXPECT_EQ(checksums(got), oracle_checksums(all, ref.grids, base_options()));
+  expect_same_answer(got, oracle_run(all, base_options()));
 }
 
 }  // namespace

@@ -59,6 +59,9 @@ const std::set<std::string> kBooleanFlags = {"resume", "io-prefetch", "stats"};
 
 /// Minimal --flag value parser: flags() holds every "--name value" pair;
 /// repeated flags accumulate.  Flags in kBooleanFlags consume no value.
+/// The parser keeps any name; the subcommand then rejects the ones it does
+/// not accept (reject_unknown), so a misspelt flag fails loudly instead of
+/// being ignored.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -94,6 +97,16 @@ class Args {
   [[nodiscard]] std::vector<std::string> all(const std::string& key) const {
     const auto it = values_.find(key);
     return it == values_.end() ? std::vector<std::string>{} : it->second;
+  }
+
+  /// Usage error naming the first flag outside `accepted`.
+  void reject_unknown(const std::string& cmd,
+                      const std::set<std::string>& accepted) const {
+    for (const auto& [key, values] : values_) {
+      require(accepted.count(key) > 0,
+              cmd + ": unknown flag --" + key + " (run pmafia without "
+              "arguments for the accepted flags)");
+    }
   }
 
  private:
@@ -258,6 +271,14 @@ Dataset load_data(const std::string& path) {
   return read_record_file(path);
 }
 
+/// The flags options_from_args reads; every subcommand that runs pMAFIA
+/// accepts them.
+const std::set<std::string> kRunFlags = {
+    "alpha", "beta", "fine-bins", "window-cells", "noise-sigmas", "chunk",
+    "min-dims", "populate-block", "join-kernel", "domain-lo", "domain-hi",
+    "io-prefetch", "io-buffers", "checkpoint-dir", "resume", "max-cdu-bytes",
+    "mp-backend", "mp-deadline", "mp-shm-slot", "inject-fault", "ranks"};
+
 MafiaOptions options_from_args(const Args& args) {
   MafiaOptions o;
   o.grid.alpha = args.get_double("alpha", o.grid.alpha);
@@ -274,18 +295,6 @@ MafiaOptions options_from_args(const Args& args) {
       args.get_int("min-dims", static_cast<long>(o.min_cluster_dims)));
   o.populate.block_records = static_cast<std::size_t>(args.get_int(
       "populate-block", static_cast<long>(o.populate.block_records)));
-  if (args.has("populate-kernel")) {
-    const std::string kernel = args.get("populate-kernel");
-    if (kernel == "auto") {
-      o.populate.kernel = PopulateKernel::Auto;
-    } else if (kernel == "memcmp") {
-      o.populate.kernel = PopulateKernel::Memcmp;
-    } else if (kernel == "bitmap") {
-      o.populate.kernel = PopulateKernel::Bitmap;
-    } else {
-      require(false, "--populate-kernel must be auto, memcmp, or bitmap");
-    }
-  }
   if (args.has("join-kernel")) {
     const std::string kernel = args.get("join-kernel");
     if (kernel == "bucketed") {
@@ -725,8 +734,7 @@ void usage() {
       "           [--alpha A] [--beta B] [--fine-bins N] [--window-cells W]\n"
       "           [--noise-sigmas S] [--min-dims K] [--chunk B]\n"
       "           [--domain-lo L --domain-hi H] [--xi N --tau F]\n"
-      "           [--populate-kernel auto|memcmp|bitmap]\n"
-      "           [--join-kernel bucketed|pairwise]\n"
+      "           [--populate-block N] [--join-kernel bucketed|pairwise]\n"
       "           [--save model.txt] [--report-json report.json]\n"
       "           [--io-prefetch] [--io-buffers N]\n"
       "           [--checkpoint-dir DIR] [--resume] [--max-cdu-bytes N]\n"
@@ -755,8 +763,45 @@ void usage() {
       "  stage    --data F [--ranks P] [--prefix PFX]\n"
       "  scoreboard [--workloads a,b] [--algorithms x,y] [--records N]\n"
       "           [--seed S] [--ranks P] [--out F.json]\n"
-      "           [--data F --true-clusters K --min-dims D]\n",
+      "           [--data F --true-clusters K --min-dims D]\n"
+      "every subcommand also takes [--report-json F]: on failure it gets a\n"
+      "pmafia-error-v1 document; an unknown flag is a usage error\n",
       stderr);
+}
+
+/// One subcommand: its entry point and the flags it accepts besides
+/// --report-json (which main reads for every subcommand's error report).
+struct Subcommand {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+/// `base` plus `extra`.
+std::set<std::string> flag_set(std::set<std::string> base,
+                               std::initializer_list<const char*> extra) {
+  base.insert(extra.begin(), extra.end());
+  return base;
+}
+
+const std::vector<Subcommand>& subcommands() {
+  static const std::vector<Subcommand> all = {
+      {"generate", cmd_generate,
+       {"out", "dims", "records", "seed", "noise", "cluster", "workload",
+        "append-out", "append-records"}},
+      {"cluster", cmd_cluster,
+       flag_set(kRunFlags, {"data", "algorithm", "xi", "tau", "save"})},
+      {"append", cmd_append, flag_set(kRunFlags, {"data", "model"})},
+      {"assign", cmd_assign, flag_set(kRunFlags, {"data", "model", "out"})},
+      {"serve", cmd_serve,
+       {"model", "listen", "serve-threads", "max-batch"}},
+      {"query", cmd_query, {"listen", "stats", "data", "out", "max-batch"}},
+      {"stage", cmd_stage, {"data", "ranks", "prefix"}},
+      {"scoreboard", cmd_scoreboard,
+       {"workloads", "algorithms", "records", "seed", "ranks", "out", "data",
+        "true-clusters", "min-dims"}},
+  };
+  return all;
 }
 
 /// Exit code per failure class: scripts can tell a usage mistake (2) from
@@ -811,14 +856,11 @@ int main(int argc, char** argv) {
     const Args args(argc, argv, 2);
     report_path = args.get("report-json");
     const std::string cmd = argv[1];
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "cluster") return cmd_cluster(args);
-    if (cmd == "append") return cmd_append(args);
-    if (cmd == "assign") return cmd_assign(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "query") return cmd_query(args);
-    if (cmd == "stage") return cmd_stage(args);
-    if (cmd == "scoreboard") return cmd_scoreboard(args);
+    for (const Subcommand& sub : subcommands()) {
+      if (cmd != sub.name) continue;
+      args.reject_unknown(cmd, flag_set(sub.flags, {"report-json"}));
+      return sub.run(args);
+    }
     usage();
     return 2;
   } catch (const Error& e) {
