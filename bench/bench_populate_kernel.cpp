@@ -11,26 +11,35 @@
 // the bitmap sees records: the comparison is per row, not a measure of the
 // table's compression.  The table build (binning, merging) is excluded.
 //
-// Two measurements, recorded as pmafia-bench-v1 rows in
+// Three measurements, recorded as pmafia-bench-v1 rows in
 // BENCH_populate.json (the committed rows are the baselines
 // scripts/bench_gate.py compares fresh runs against):
 //   * micro     — UnitPopulator::accumulate alone over fixed CDU stores:
 //     bitmap over the records and packed over the table for a k = 3 store,
 //     memcmp over the table for a k = 9 store;
-//   * crossover — the bitmap sweep amortizes its per-record bit writes
-//     over every CDU sharing a bin, so it wins when the candidate set is
-//     bin-dense and loses when few CDUs share bins (the AND work grows
-//     with used bins x records while the lookups only pay per subspace).
+//   * 256 bins  — the bitmap sweep's worst case: every dim cut into 256
+//     equal bins and every bin used by some CDU.  The sweep forms each used
+//     (dim, bin) bitset by comparing its dim's byte column, so its cost
+//     grows with the used bins per dim (and the locator takes about one
+//     step per value at 256 bins);
+//   * crossover — the bitmap sweep amortizes its per-record binning and
+//     bitset formation over every CDU sharing a bin, so it wins when the
+//     candidate set is bin-dense and loses when few CDUs share bins (the
+//     compare and AND work grow with used bins x records while the lookups
+//     only pay per subspace).
 //     The sweep scales the CDU count at fixed records and prints the
 //     used-bins x records product where bitmaps stop winning.
 #include "bench_common.hpp"
 
 #include <limits>
 #include <numeric>
+#include <set>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "core/mafia.hpp"
 #include "datagen/workloads.hpp"
+#include "grid/uniform_grid.hpp"
 #include "io/data_source.hpp"
 #include "rng/distributions.hpp"
 #include "rng/icg.hpp"
@@ -75,6 +84,18 @@ UnitStore all_items(const GridSet& grids) {
     }
   }
   return items;
+}
+
+/// Distinct (dim, bin) pairs the store's units use: the bitset count of
+/// the bitmap sweep.
+std::size_t used_bins(const UnitStore& cdus) {
+  std::set<std::pair<DimId, BinId>> items;
+  for (std::size_t u = 0; u < cdus.size(); ++u) {
+    for (std::size_t i = 0; i < cdus.k(); ++i) {
+      items.insert({cdus.dims(u)[i], cdus.bins(u)[i]});
+    }
+  }
+  return items.size();
 }
 
 /// Times `reps` accumulate passes over the records (table == nullptr) or
@@ -180,6 +201,33 @@ int main() {
   std::printf("bitmap and packed counts %s\n",
               agree ? "agree" : "DIFFER (bug)");
 
+  // ---- 256 bins: every dim cut into kMaxBinsPerDim equal bins; k = 2
+  // units pair bin b of dim j with bin b of dim j + 1, so every bin of
+  // every dim is used.
+  {
+    const std::vector<Value> lo(data.num_dims(), 0.0f);
+    const std::vector<Value> hi(data.num_dims(), 100.0f);
+    const GridSet fine = compute_uniform_grids(lo, hi, kMaxBinsPerDim, 0.01,
+                                               data.num_records());
+    UnitStore dense(2);
+    for (std::size_t j = 0; j + 1 < fine.num_dims(); ++j) {
+      for (std::size_t b = 0; b < kMaxBinsPerDim; ++b) {
+        const DimId dims[2] = {static_cast<DimId>(j), static_cast<DimId>(j + 1)};
+        const BinId bins[2] = {static_cast<BinId>(b), static_cast<BinId>(b)};
+        dense.push_unchecked(dims, bins);
+      }
+    }
+    double secs = 0.0;
+    const double tp =
+        sweep_throughput(fine, dense, data, nullptr, reps, &secs);
+    std::printf("\n[256 bins] bitmap over records: %zu CDUs, %zu used bins "
+                "(%zu dims x %zu), %zu reps: %.3f s, %.3e rows/s\n",
+                dense.size(), used_bins(dense), fine.num_dims(),
+                kMaxBinsPerDim, reps, secs, tp);
+    record_micro("micro-kernel=bitmap-256bins", secs, nrecords * reps,
+                 data.num_dims());
+  }
+
   // ---- crossover: scale the candidate set (and with it the used-bin
   // count driving the bitmap AND work) at fixed records; the bitmap wins
   // while CDUs-per-used-bin stays high and loses once few CDUs share the
@@ -192,29 +240,24 @@ int main() {
   for (const std::size_t ncdus : {4u, 12u, 50u, 200u, 800u, 3200u}) {
     IcgRandom sweep_rng(900 + ncdus);
     const UnitStore sweep = make_cdus(sweep_rng, ref.grids, 3, ncdus);
-    // A 65-record block takes one 64-bit word more per used (dim, bin)
-    // pair than a 1-record block; nothing else depends on the block size.
-    const std::size_t used_bins =
-        (UnitPopulator(ref.grids, sweep, {65, 48}).auxiliary_bytes() -
-         UnitPopulator(ref.grids, sweep, {1, 48}).auxiliary_bytes()) /
-        sizeof(std::uint64_t);
+    const std::size_t sweep_bins = used_bins(sweep);
     double b_secs = 0.0, p_secs = 0.0;
     const double b_tp =
         sweep_throughput(ref.grids, sweep, data, nullptr, 1, &b_secs);
     const double p_tp =
         sweep_throughput(ref.grids, sweep, data, &table, 1, &p_secs);
     const double ratio = b_tp / p_tp;
-    std::printf("%-8zu %-10zu %-14.3e %-14.3e %.2f\n", ncdus, used_bins,
+    std::printf("%-8zu %-10zu %-14.3e %-14.3e %.2f\n", ncdus, sweep_bins,
                 b_tp, p_tp, ratio);
     if (ratio < 1.0) {
-      crossover_bins_records = static_cast<double>(used_bins) *
+      crossover_bins_records = static_cast<double>(sweep_bins) *
                                static_cast<double>(nrecords);
     }
   }
   if (crossover_bins_records > 0.0) {
     std::printf("bitmap stops winning below ~%.2e used-bins x records "
-                "(sparse candidate sets: the bitset writes outweigh the "
-                "few lookups they replace)\n", crossover_bins_records);
+                "(sparse candidate sets: binning every used dim outweighs "
+                "the few lookups it replaces)\n", crossover_bins_records);
   } else {
     std::printf("bitmap won at every sweep point (crossover below "
                 "4 CDUs at this record count)\n");

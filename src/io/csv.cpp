@@ -1,6 +1,7 @@
 #include "io/csv.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -33,6 +34,13 @@ double parse_number(const std::string& field, std::size_t line_no,
   require(ec == std::errc{} && ptr == end,
           "read_csv: non-numeric field '" + field + "' at " + path + ":" +
               std::to_string(line_no));
+  // from_chars accepts "nan" and "inf", and a double from here up rounds to
+  // an infinity as a float.  Grids and bin lookups need finite values, as
+  // the record-file reader already enforces.
+  constexpr double kFloatOverflow = 0x1.ffffffp127;
+  require_input(std::fabs(value) < kFloatOverflow,
+                "read_csv: non-finite value '" + field + "' at " + path + ":" +
+                    std::to_string(line_no));
   return value;
 }
 

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -71,8 +72,20 @@ QueryBatch decode_query(const std::uint8_t* data, std::size_t size,
   QueryBatch batch;
   batch.num_dims = num_dims;
   batch.values.resize(static_cast<std::size_t>(num_rows) * num_dims);
-  std::memcpy(batch.values.data(), data + kShapeBytes,
-              batch.values.size() * sizeof(Value));
+  // A zero-row batch has no buffer, and memcpy from or to null is undefined
+  // even for zero bytes.
+  if (!batch.values.empty()) {
+    std::memcpy(batch.values.data(), data + kShapeBytes,
+                batch.values.size() * sizeof(Value));
+  }
+  // Bin lookups are defined for finite values only (a NaN has no bin).
+  for (std::size_t i = 0; i < batch.values.size(); ++i) {
+    if (!std::isfinite(batch.values[i])) [[unlikely]] {
+      throw InputError("serve query: non-finite value in row " +
+                       std::to_string(i / num_dims) + ", dim " +
+                       std::to_string(i % num_dims));
+    }
+  }
   return batch;
 }
 

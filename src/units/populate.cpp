@@ -32,18 +32,15 @@ static_assert(std::is_trivially_copyable_v<BinId> &&
               "UnitPopulator compares bin rows with memcmp; BinId must have "
               "no padding bits");
 
-// The bitmap sweep indexes bin_map_ as dim * kMaxBinsPerDim + bin, so a
-// BinId must not be able to exceed the per-dimension stride.
+// The bitmap sweep indexes its (dim, bin) map as dim * kMaxBinsPerDim + bin
+// and compares bin columns a byte at a time, so a BinId is one byte.
 static_assert(sizeof(BinId) == 1 && kMaxBinsPerDim == 256,
-              "bitmap bin_map_ stride assumes byte-wide bin ids");
+              "bitmap sweep assumes byte-wide bin ids");
 
 namespace {
 
 /// Empty-slot sentinel of the open-addressing tables.
 constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-
-/// "(dim, bin) used by no CDU" sentinel of the bitmap sweep's bin map.
-constexpr std::uint32_t kNoBitmap = 0xffffffffu;
 
 /// Branchless lower bound over a sorted uint64 array: the comparison feeds
 /// a conditional add instead of a branch, so the search pipeline never
@@ -57,6 +54,63 @@ inline std::size_t lower_bound_u64(const std::uint64_t* a, std::size_t n,
     n -= half;
   }
   return base + (n == 1 && a[base] < key ? 1 : 0);
+}
+
+// ------------------------------------------- bitset formation by compare
+//
+// out[t * stride + w] gets bit i set iff col[64 * w + i] == bins[t], for
+// t < nbins and w < words: the bitsets of one dim's used bins, formed from
+// its block column.  The portable loop is the definition; the AVX2 path
+// compares 32 bytes per cmpeq and gathers the lane results with movemask.
+
+using FormBitsetsFn = void (*)(const BinId*, const BinId*, std::size_t,
+                               std::uint64_t*, std::size_t, std::size_t);
+
+void form_bitsets_portable(const BinId* col, const BinId* bins,
+                           std::size_t nbins, std::uint64_t* out,
+                           std::size_t stride, std::size_t words) {
+  for (std::size_t t = 0; t < nbins; ++t) {
+    const BinId bin = bins[t];
+    std::uint64_t* o = out + t * stride;
+    for (std::size_t w = 0; w < words; ++w) {
+      const BinId* c = col + 64 * w;
+      std::uint64_t word = 0;
+      for (std::size_t i = 0; i < 64; ++i) {
+        word |= static_cast<std::uint64_t>(c[i] == bin) << i;
+      }
+      o[w] = word;
+    }
+  }
+}
+
+#if defined(__x86_64__) && !defined(PMAFIA_DISABLE_SIMD)
+
+__attribute__((target("avx2"))) void form_bitsets_avx2(
+    const BinId* col, const BinId* bins, std::size_t nbins,
+    std::uint64_t* out, std::size_t stride, std::size_t words) {
+  for (std::size_t t = 0; t < nbins; ++t) {
+    const __m256i bin = _mm256_set1_epi8(static_cast<char>(bins[t]));
+    std::uint64_t* o = out + t * stride;
+    for (std::size_t w = 0; w < words; ++w) {
+      const auto* c = reinterpret_cast<const __m256i*>(col + 64 * w);
+      const auto lo = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+          _mm256_cmpeq_epi8(_mm256_loadu_si256(c), bin)));
+      const auto hi = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+          _mm256_cmpeq_epi8(_mm256_loadu_si256(c + 1), bin)));
+      o[w] = (static_cast<std::uint64_t>(hi) << 32) | lo;
+    }
+  }
+}
+
+#endif
+
+/// Resolves the bitset formation once per process: AVX2 when the host
+/// supports it, the portable loop otherwise.
+FormBitsetsFn resolve_form_bitsets() {
+#if defined(__x86_64__) && !defined(PMAFIA_DISABLE_SIMD)
+  if (__builtin_cpu_supports("avx2")) return &form_bitsets_avx2;
+#endif
+  return &form_bitsets_portable;
 }
 
 // ------------------------------------------------ bitmap AND + popcount
@@ -152,11 +206,40 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
       cfg_(config),
       counts_(cdus.size(), 0),
       key_scratch_(cdus.k()),
-      bin_map_(grids.num_dims() * kMaxBinsPerDim, kNoBitmap),
       block_words_((config.block_records + 63) / 64) {
   require(cfg_.block_records >= 1, "UnitPopulator: block_records must be positive");
   stats_.block_records = cfg_.block_records;
-  std::uint32_t num_bitmaps = 0;
+
+  // One bitset id per distinct (dim, bin) pair some CDU uses, numbered
+  // dim-major so each used dim's bitsets are formed from its column in one
+  // contiguous run; a CDU's block count is then the popcount of the AND of
+  // its k bitsets.
+  constexpr std::uint32_t kUnused = 0xffffffffu;
+  std::vector<std::uint32_t> bitmap_id(grids.num_dims() * kMaxBinsPerDim,
+                                       kUnused);
+  for (std::size_t u = 0; u < cdus.size(); ++u) {
+    const auto d = cdus.dims(u);
+    const auto b = cdus.bins(u);
+    for (std::size_t i = 0; i < k_; ++i) {
+      bitmap_id[static_cast<std::size_t>(d[i]) * kMaxBinsPerDim + b[i]] = 0;
+    }
+  }
+  dim_first_id_.push_back(0);
+  for (std::size_t j = 0; j < grids.num_dims(); ++j) {
+    const std::size_t before = item_bins_.size();
+    for (std::size_t b = 0; b < kMaxBinsPerDim; ++b) {
+      std::uint32_t& id = bitmap_id[j * kMaxBinsPerDim + b];
+      if (id == kUnused) continue;
+      id = static_cast<std::uint32_t>(item_bins_.size());
+      item_bins_.push_back(static_cast<BinId>(b));
+    }
+    if (item_bins_.size() == before) continue;
+    used_dims_.push_back(static_cast<DimId>(j));
+    locators_.emplace_back(grids[j]);
+    dim_first_id_.push_back(static_cast<std::uint32_t>(item_bins_.size()));
+  }
+  bitsets_.resize(item_bins_.size() * block_words_);
+  cols_.resize(used_dims_.size() * block_words_ * 64);
 
   // Group CDU indices by dimension set.
   std::map<std::vector<DimId>, std::vector<std::uint32_t>> by_subspace;
@@ -181,16 +264,12 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
               });
     sub.cdu_index = members;
 
-    // One bitset id per distinct (dim, bin) pair the members reference; a
-    // CDU's block count is then the popcount of the AND of its k bitsets.
     sub.bitmap_ids.reserve(members.size() * k_);
     for (const std::uint32_t u : members) {
       const auto bins = cdus.bins(u);
       for (std::size_t i = 0; i < k_; ++i) {
-        std::uint32_t& id =
-            bin_map_[static_cast<std::size_t>(dims[i]) * kMaxBinsPerDim + bins[i]];
-        if (id == kNoBitmap) id = num_bitmaps++;
-        sub.bitmap_ids.push_back(id);
+        sub.bitmap_ids.push_back(
+            bitmap_id[static_cast<std::size_t>(dims[i]) * kMaxBinsPerDim + bins[i]]);
       }
     }
 
@@ -224,19 +303,16 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
     }
     subspaces_.push_back(std::move(sub));
   }
+}
 
-  for (std::size_t j = 0; j < grids.num_dims(); ++j) {
-    const std::uint32_t* map = bin_map_.data() + j * kMaxBinsPerDim;
-    if (std::any_of(map, map + kMaxBinsPerDim,
-                    [](std::uint32_t id) { return id != kNoBitmap; })) {
-      used_dims_.push_back(static_cast<DimId>(j));
-    }
-  }
-  bitsets_.resize(static_cast<std::size_t>(num_bitmaps) * block_words_);
+std::size_t UnitPopulator::bitmap_block_bytes() const {
+  return bitsets_.size() * sizeof(std::uint64_t) +
+         item_bins_.size() * sizeof(BinId) + cols_.size() * sizeof(BinId) +
+         locators_.size() * BinLocator::kTableBytes;
 }
 
 std::size_t UnitPopulator::auxiliary_bytes() const {
-  std::size_t bytes = bitsets_.size() * sizeof(std::uint64_t);
+  std::size_t bytes = bitmap_block_bytes();
   for (const Subspace& sub : subspaces_) {
     bytes += sub.cdu_index.size() * sizeof(std::uint32_t) +
              sub.keys.size() * sizeof(std::uint64_t) +
@@ -248,29 +324,42 @@ std::size_t UnitPopulator::auxiliary_bytes() const {
 }
 
 void UnitPopulator::accumulate(const Value* rows, std::size_t nrows) {
+  static const FormBitsetsFn form_bitsets = resolve_form_bitsets();
   static const AndPopcountFn and_popcount = resolve_and_popcount();
   const std::size_t d = grids_.num_dims();
   const std::size_t block = cfg_.block_records;
+  const std::size_t nused = used_dims_.size();
+  const std::size_t col_stride = block_words_ * 64;
   stats_.bitmap_subspaces = subspaces_.size();
-  stats_.bitmap_bytes = bitsets_.size() * sizeof(std::uint64_t) +
-                        bin_map_.size() * sizeof(std::uint32_t);
+  stats_.bitmap_bytes = bitmap_block_bytes();
 
   std::vector<const std::uint64_t*> ptrs(k_);
   for (std::size_t base = 0; base < nrows; base += block) {
     const std::size_t bn = std::min(block, nrows - base);
     const std::size_t words = (bn + 63) / 64;
 
-    // Build: set each record's bit in the bitset of every used (dim, bin)
-    // it lands in.  Bits past the block's last record stay clear.
-    std::fill(bitsets_.begin(), bitsets_.end(), 0);
-    for (const DimId j : used_dims_) {
-      const DimensionGrid& g = grids_[j];
-      const std::uint32_t* map = bin_map_.data() + j * kMaxBinsPerDim;
-      const Value* v = rows + base * d + j;
-      for (std::size_t r = 0; r < bn; ++r, v += d) {
-        const std::uint32_t id = map[g.bin_of(*v)];
-        if (id == kNoBitmap) continue;
-        bitsets_[id * block_words_ + (r >> 6)] |= std::uint64_t{1} << (r & 63);
+    // Bin: each record once, record-major, into the used dims' columns.
+    const Value* row = rows + base * d;
+    for (std::size_t r = 0; r < bn; ++r, row += d) {
+      BinId* col = cols_.data() + r;
+      for (std::size_t i = 0; i < nused; ++i, col += col_stride) {
+        *col = locators_[i].locate(row[used_dims_[i]]);
+      }
+    }
+
+    // Form: each used (dim, bin) bitset from its dim's column.  Column
+    // bytes past the block's last record are stale, so the partial last
+    // word is masked.
+    for (std::size_t i = 0; i < nused; ++i) {
+      const std::uint32_t first = dim_first_id_[i];
+      form_bitsets(cols_.data() + i * col_stride, item_bins_.data() + first,
+                   dim_first_id_[i + 1] - first,
+                   bitsets_.data() + first * block_words_, block_words_, words);
+    }
+    if (bn % 64 != 0) {
+      const std::uint64_t mask = (std::uint64_t{1} << (bn % 64)) - 1;
+      for (std::size_t t = 0; t < item_bins_.size(); ++t) {
+        bitsets_[t * block_words_ + words - 1] &= mask;
       }
     }
 

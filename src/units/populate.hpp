@@ -10,13 +10,18 @@
 //     its memory cap) stream through accumulate(rows, nrows), which counts
 //     with the bitmap sweep (gpumafia's build_bitmaps/count_points_bitmaps
 //     model, made block-local).  For each block of block_records records
-//     it clears one bitset of block_records bits per (dim, bin) pair some
-//     CDU uses, sets each record's bit in the bitset of every used pair it
-//     lands in, then ANDs each CDU's k bitsets over the block's words and
-//     adds the popcount to the CDU's count — a branch-free reduction with
-//     an AVX2/NEON fast path and a std::popcount fallback.  The bitsets
-//     never outgrow one block, so the index is used_bins × block_records
-//     bits whatever the partition size.
+//     it bins every record once, record-major, through the exact cell-table
+//     locators of the dims some CDU uses (grid/bin_locator.hpp) into one
+//     byte column per used dim; forms the bitset of every used (dim, bin)
+//     pair from its dim's column by byte compare (AVX2 cmpeq + movemask,
+//     a portable loop elsewhere), masking the partial last word; then ANDs
+//     each CDU's k bitsets over the block's words and adds the popcount to
+//     the CDU's count — a branch-free reduction with an AVX2/NEON fast path
+//     and a std::popcount fallback.  Binning, not counting, is what a
+//     streamed pass costs, so each value is binned once per block however
+//     many CDUs use its dim.  Nothing outgrows one block: the index is
+//     used_bins × block_records bits plus used_dims × block_records column
+//     bytes whatever the partition size.
 //   * A transaction table (levels >= 2 by default) sweeps through
 //     accumulate(table): one row per distinct dense-item tuple, weighted by
 //     its multiplicity — exact because later CDUs only use items of earlier
@@ -53,6 +58,7 @@
 #include <span>
 #include <vector>
 
+#include "grid/bin_locator.hpp"
 #include "grid/grid_types.hpp"
 #include "units/unit_store.hpp"
 
@@ -102,9 +108,9 @@ struct PopulateKernelStats {
   std::size_t memcmp_subspaces = 0;
   std::size_t bitmap_subspaces = 0;
   std::size_t block_records = 0;
-  /// Peak bitmap-sweep footprint over the run's levels (one block's bitset
-  /// words plus the (dim, bin) -> bitset id map); 0 unless records were
-  /// streamed.
+  /// Peak bitmap-sweep footprint over the run's levels: one block's bitset
+  /// words and bin columns, the bitsets' bin ids, and the used dims' cell
+  /// tables; 0 unless records were streamed.
   std::size_t bitmap_bytes = 0;
   /// Total 64-bit words ANDed by the bitmap sweep, summed over all blocks
   /// and levels — the work metric of the AND+popcount reduction.
@@ -173,10 +179,9 @@ class UnitPopulator {
 
   /// Auxiliary memory of either sweep: the per-subspace lookup vectors
   /// (sorted-row -> CDU index, packed keys, hash slots, sorted byte rows),
-  /// the bitmap ids, and one block of bitsets (used_bins × block_records
-  /// bits).  All of it follows from the CDU store, which every rank holds,
-  /// so a collective budget guard over it stays rank-invariant.  Fixed
-  /// per-dimension scratch (the (dim, bin) -> bitset map) is not counted.
+  /// the bitmap ids, and the bitmap block (see bitmap_block_bytes).  All of
+  /// it follows from the CDU store, which every rank holds, so a collective
+  /// budget guard over it stays rank-invariant.
   [[nodiscard]] std::size_t auxiliary_bytes() const;
 
  private:
@@ -206,6 +211,11 @@ class UnitPopulator {
   void sweep_packed_hash(const Subspace& sub, const ColumnBlock& b);
   void sweep_memcmp(const Subspace& sub, const ColumnBlock& b);
 
+  /// The bitmap sweep's block: used_bins × block_records bits of bitsets
+  /// (whole words), their bin ids, used_dims × block_records column bytes
+  /// (whole words of records) and the used dims' cell tables.
+  [[nodiscard]] std::size_t bitmap_block_bytes() const;
+
   const GridSet& grids_;
   std::size_t k_;
   bool packed_;  // k fits a packed key
@@ -214,14 +224,18 @@ class UnitPopulator {
   std::vector<Subspace> subspaces_;
   std::vector<Count> counts_;
   std::vector<BinId> key_scratch_;  // projected row buffer (memcmp lookup)
-  // Bitmap-sweep state.  bin_map_ maps (dim * kMaxBinsPerDim + bin) to a
-  // bitset id (kNoBitmap for pairs no CDU uses — those set no bits and cost
-  // no memory); bitsets_ holds block_words_ words per used pair, cleared
-  // and refilled for every block; used_dims_ lists the dims some CDU uses.
-  std::vector<std::uint32_t> bin_map_;
-  std::vector<std::uint64_t> bitsets_;
+  // Bitmap-sweep state.  Bitset ids run dim-major over the used (dim, bin)
+  // pairs: used dim i owns ids [dim_first_id_[i], dim_first_id_[i + 1]),
+  // and bitset id t tests bin item_bins_[t].  bitsets_ holds block_words_
+  // words per id; cols_ holds one column of block_words_ * 64 bin bytes per
+  // used dim, both refilled for every block.
   std::size_t block_words_;
   std::vector<DimId> used_dims_;
+  std::vector<BinLocator> locators_;  // index-aligned with used_dims_
+  std::vector<std::uint32_t> dim_first_id_;
+  std::vector<BinId> item_bins_;
+  std::vector<std::uint64_t> bitsets_;
+  std::vector<BinId> cols_;
 };
 
 }  // namespace mafia

@@ -59,6 +59,7 @@ TransactionTable::TransactionTable(const GridSet& grids, const UnitStore& cdus,
       continue;
     }
     key_dims_.push_back(static_cast<DimId>(j));
+    locators_.emplace_back(grids[j]);
     // The sentinel is the first id no CDU uses in this dim; with all ids
     // in use every bin keys as itself and the sentinel is never written.
     const auto free_id = std::find(used, used + kMaxBinsPerDim, 0) - used;
@@ -81,8 +82,7 @@ void TransactionTable::accumulate(const Value* rows, std::size_t nrows) {
   for (std::size_t r = 0; r < nrows && !abandoned_; ++r) {
     const Value* row = rows + r * d;
     for (std::size_t i = 0; i < w; ++i) {
-      const DimId j = key_dims_[i];
-      t[i] = remap_[i * kMaxBinsPerDim + (*grids_)[j].bin_of(row[j])];
+      t[i] = remap_[i * kMaxBinsPerDim + locators_[i].locate(row[key_dims_[i]])];
     }
     ++records_;
     insert(t);

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "grid/bin_locator.hpp"
 #include "grid/grid_types.hpp"
 #include "units/unit_store.hpp"
 
@@ -100,6 +101,9 @@ class TransactionTable {
   const GridSet* grids_;
   std::size_t max_bytes_;
   std::vector<DimId> key_dims_;  // dims some CDU uses, ascending
+  // Bins each record's key dims (index-aligned with key_dims_).  Like the
+  // remap rows, one fixed-size table per key dim, outside the footprint.
+  std::vector<BinLocator> locators_;
   // remap_[i * kMaxBinsPerDim + b]: the key byte of bin b in key_dims_[i]
   // (b itself when a CDU uses it, the dim's sentinel otherwise).
   std::vector<BinId> remap_;

@@ -1,12 +1,17 @@
 // Tests for histograms and grid construction — above all Algorithm 1's
 // adaptive grids: structural invariants, rectangular-wave merging, the
-// uniform-dimension fallback, and the threshold formula alpha*N*a/D.
+// uniform-dimension fallback, and the threshold formula alpha*N*a/D — and
+// the cell-table BinLocator, differentially against DimensionGrid::bin_of.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include "grid/adaptive_grid.hpp"
+#include "grid/bin_locator.hpp"
 #include "grid/histogram.hpp"
 #include "grid/uniform_grid.hpp"
 
@@ -307,6 +312,149 @@ TEST(UniformGrid, RejectsBadParameters) {
   EXPECT_THROW((void)compute_uniform_grid(0, 0.0f, 1.0f, 0, 0.01, 10), Error);
   EXPECT_THROW((void)compute_uniform_grid(0, 0.0f, 1.0f, 10, 0.0, 10), Error);
   EXPECT_THROW((void)compute_uniform_grid(0, 0.0f, 1.0f, 10, 1.5, 10), Error);
+}
+
+// ------------------------------------------------------------ bin locator
+
+/// A grid over explicit edges (equal thresholds), checked for validity.
+DimensionGrid grid_with_edges(std::vector<Value> edges) {
+  DimensionGrid g;
+  g.domain_lo = edges.front();
+  g.domain_hi = edges.back();
+  g.thresholds.assign(edges.size() - 1, 1.0);
+  g.edges = std::move(edges);
+  g.validate();
+  return g;
+}
+
+/// BinLocator::locate must equal bin_of on every edge and 3 ulps either
+/// side of it, on the float extremes and infinities, and on seeded random
+/// values spread over the domain and a domain's width beyond each end.
+void expect_locator_matches_bin_of(const DimensionGrid& g, unsigned seed) {
+  const BinLocator loc(g);
+  std::vector<Value> probes{0.0f,
+                            -0.0f,
+                            std::numeric_limits<Value>::max(),
+                            std::numeric_limits<Value>::lowest(),
+                            std::numeric_limits<Value>::denorm_min(),
+                            -std::numeric_limits<Value>::denorm_min(),
+                            std::numeric_limits<Value>::infinity(),
+                            -std::numeric_limits<Value>::infinity()};
+  constexpr Value kInf = std::numeric_limits<Value>::infinity();
+  for (const Value e : g.edges) {
+    Value up = e;
+    Value down = e;
+    probes.push_back(e);
+    for (int i = 0; i < 3; ++i) {
+      up = std::nextafter(up, kInf);
+      down = std::nextafter(down, -kInf);
+      probes.push_back(up);
+      probes.push_back(down);
+    }
+  }
+  std::mt19937_64 rng(seed);
+  const double lo = g.edges.front();
+  const double span = static_cast<double>(g.edges.back()) - lo;
+  std::uniform_real_distribution<double> inside(lo, lo + span);
+  std::uniform_real_distribution<double> around(lo - span, lo + 2 * span);
+  for (int i = 0; i < 20000; ++i) {
+    probes.push_back(static_cast<Value>(inside(rng)));
+    const double v = around(rng);
+    if (std::fabs(v) <= std::numeric_limits<Value>::max()) {
+      probes.push_back(static_cast<Value>(v));
+    }
+  }
+  for (const Value v : probes) {
+    ASSERT_EQ(loc.locate(v), g.bin_of(v))
+        << "v=" << v << " bins=" << g.num_bins() << " domain=["
+        << g.edges.front() << ", " << g.edges.back() << "]";
+  }
+}
+
+TEST(BinLocator, MatchesBinOfOnAdaptiveGrids) {
+  const auto o = small_grid_options();
+  const DimensionGrid step =
+      compute_adaptive_grid(0, 0.0f, 100.0f, step_counts(100, 40, 60, 10, 1000),
+                            100000, o);
+  ASSERT_FALSE(step.uniform_fallback);
+  expect_locator_matches_bin_of(step, 1);
+  // A negative domain cut by several steps of varying height.
+  std::vector<Count> counts(100, 10);
+  for (std::size_t c = 5; c < 9; ++c) counts[c] = 900;
+  counts[30] = 4000;
+  for (std::size_t c = 60; c < 75; ++c) counts[c] = 300;
+  const DimensionGrid neg =
+      compute_adaptive_grid(1, -500.0f, -100.0f, counts, 50000, o);
+  ASSERT_GE(neg.num_bins(), 5u);
+  expect_locator_matches_bin_of(neg, 2);
+  // Fine cells narrower than a locator cell: 1000 fine cells alternate
+  // height, so most fine edges become bin edges (up to 256 bins).
+  AdaptiveGridOptions fine = o;
+  fine.fine_bins = 1000;
+  fine.window_cells = 1;
+  std::vector<Count> spiky(1000);
+  for (std::size_t c = 0; c < spiky.size(); ++c) spiky[c] = (c / 3) % 2 ? 50 : 5000;
+  const DimensionGrid many =
+      compute_adaptive_grid(2, 0.0f, 1.0f, spiky, 1000000, fine);
+  ASSERT_GT(many.num_bins(), kLocatorCells / 2);
+  expect_locator_matches_bin_of(many, 3);
+}
+
+TEST(BinLocator, MatchesBinOfOnUniformFallbackAndCliqueGrids) {
+  const auto o = small_grid_options();
+  const DimensionGrid flat = compute_adaptive_grid(
+      0, 0.0f, 100.0f, std::vector<Count>(100, 500), 50000, o);
+  ASSERT_TRUE(flat.uniform_fallback);
+  expect_locator_matches_bin_of(flat, 4);
+  for (const std::size_t xi : {1u, 7u, 10u, 255u, 256u}) {
+    expect_locator_matches_bin_of(
+        compute_uniform_grid(0, -3.0f, 17.0f, xi, 0.01, 1000), 5);
+  }
+}
+
+TEST(BinLocator, MatchesBinOfWithManyEdgesInOneCell) {
+  // 256 bins: 255 edges packed one float apart from 10 up, all inside
+  // one locator cell of [0, 100].
+  std::vector<Value> edges{0.0f};
+  Value e = 10.0f;
+  for (int i = 0; i < 255; ++i) {
+    edges.push_back(e);
+    e = std::nextafter(e, 100.0f);
+  }
+  edges.push_back(100.0f);
+  const DimensionGrid packed = grid_with_edges(edges);
+  ASSERT_EQ(packed.num_bins(), kMaxBinsPerDim);
+  expect_locator_matches_bin_of(packed, 6);
+  // 256 equal bins over a domain of 256 cells: an edge in every cell.
+  expect_locator_matches_bin_of(
+      compute_uniform_grid(0, 0.0f, 1.0f, kMaxBinsPerDim, 0.01, 1000), 7);
+}
+
+TEST(BinLocator, MatchesBinOfOnDegenerateAndExtremeDomains) {
+  expect_locator_matches_bin_of(grid_with_edges({5.0f, 6.0f}), 8);
+  expect_locator_matches_bin_of(grid_with_edges({-6.0f, -5.0f}), 9);
+  expect_locator_matches_bin_of(
+      grid_with_edges({-1e30f, -1e20f, 0.0f, 1e10f, 3e29f, 1e30f}), 10);
+  // [1e6, 1e6 + 1] holds 17 floats; make every one of them an edge.
+  std::vector<Value> ulps;
+  for (Value v = 1e6f; v <= 1e6f + 1.0f; v = std::nextafter(v, 2e6f)) {
+    ulps.push_back(v);
+  }
+  ASSERT_EQ(ulps.size(), 17u);
+  expect_locator_matches_bin_of(grid_with_edges(ulps), 11);
+  expect_locator_matches_bin_of(grid_with_edges({1e6f, 1e6f + 1.0f}), 12);
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  expect_locator_matches_bin_of(grid_with_edges({-kMax, -1.0f, 1.0f, kMax}), 13);
+  expect_locator_matches_bin_of(
+      grid_with_edges({std::numeric_limits<Value>::denorm_min(),
+                       2 * std::numeric_limits<Value>::denorm_min(),
+                       3 * std::numeric_limits<Value>::denorm_min()}),
+      14);
+}
+
+TEST(BinLocator, NanLandsInBinZero) {
+  const BinLocator loc(grid_with_edges({0.0f, 1.0f, 2.0f, 3.0f}));
+  EXPECT_EQ(loc.locate(std::numeric_limits<Value>::quiet_NaN()), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // 3) with a message naming the file and, for value corruption, the exact
 // record, dimension, and byte offset.  Every reader path is covered:
 // read_record_file_header, read_record_file, and FileSource's chunked scan
-// (the out-of-core path the driver uses).
+// (the out-of-core path the driver uses).  The CSV reader gets the same
+// non-finite rule: a NaN, an infinity or a value past float's range fails
+// naming path:line.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "io/csv.hpp"
 #include "io/data_source.hpp"
 #include "io/dataset.hpp"
 #include "io/pipeline.hpp"
@@ -262,6 +265,42 @@ TEST(CorruptRecordFile, AppendRowsBulkMatchesAppend) {
   for (RecordIndex i = 0; i < 23; ++i) EXPECT_EQ(bulk.label(i), kUnlabeledLabel);
   bulk.append_rows(original.values().data(), 0);  // no-op splice
   EXPECT_EQ(bulk.num_records(), 23u);
+}
+
+// ------------------------------------------------------------ CSV values
+
+TEST(CorruptCsv, NonFiniteValuesFailNamingPathAndLine) {
+  // from_chars parses each of these; none has a finite float value.
+  const char* const bad[] = {"nan", "-nan", "inf", "-Infinity", "1e39",
+                             "-3.5e38"};
+  for (const char* field : bad) {
+    TempFile tmp("mafia_corrupt_csv_nonfinite.csv");
+    {
+      std::ofstream out(tmp.path());
+      out << "a,b\n1,2\n3," << field << "\n5,6\n";
+    }
+    try {
+      (void)read_csv(tmp.path());
+      FAIL() << "expected InputError for " << field;
+    } catch (const InputError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("non-finite value"), std::string::npos) << what;
+      EXPECT_NE(what.find(tmp.path() + ":3"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(CorruptCsv, FloatRangeExtremesStillParse) {
+  // The largest values that round to a finite float are accepted.
+  TempFile tmp("mafia_corrupt_csv_extremes.csv");
+  {
+    std::ofstream out(tmp.path());
+    out << "a,b\n3.4028234e38,-3.4028234e38\n1e-45,0\n";
+  }
+  const Dataset data = read_csv(tmp.path());
+  ASSERT_EQ(data.num_records(), 2u);
+  EXPECT_EQ(data.row(0)[0], std::numeric_limits<Value>::max());
+  EXPECT_EQ(data.row(0)[1], -std::numeric_limits<Value>::max());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "datagen/generator.hpp"
+#include "grid/bin_locator.hpp"
 #include "grid/uniform_grid.hpp"
 #include "populate_oracle.hpp"
 #include "rng/distributions.hpp"
@@ -402,8 +403,11 @@ TEST(PopulateBudget, AuxiliaryBytesCountEveryLookupVector) {
   // store alone.  Recompute it: per subspace of m members, the sorted-row
   // -> CDU index (4 B each) and the bitmap ids (4k B), plus the packed keys
   // (8 B) and hash slots (4 B per slot) for k <= 8 or the memcmp byte rows
-  // (k B) for k > 8; plus one block of bitsets — block_records bits,
-  // rounded up to whole words, per (dim, bin) pair some CDU uses.
+  // (k B) for k > 8; plus the bitmap block — per (dim, bin) pair some CDU
+  // uses, one bitset of block_records bits rounded up to whole words and its
+  // 1-byte bin id, and per dim some CDU uses, one byte column of
+  // block_records records rounded up to whole words and one locator cell
+  // table of kLocatorCells bytes.
   IcgRandom rng(301);
   const std::size_t hash_min = 12;
   for (const std::size_t k : {3u, 9u}) {
@@ -437,12 +441,17 @@ TEST(PopulateBudget, AuxiliaryBytesCountEveryLookupVector) {
     }
     if (k == 3) ASSERT_TRUE(saw_hash && saw_sorted);
 
+    std::set<DimId> used_dims;
+    for (const auto& item : items) used_dims.insert(item.first);
     for (const std::size_t block : {1u, 64u, 65u, 2048u}) {
       UnitPopulator pop(grids, cdus, {block, hash_min});
-      const std::size_t bitsets = items.size() * ((block + 63) / 64) * 8;
+      const std::size_t words = (block + 63) / 64;
+      const std::size_t bitsets =
+          items.size() * (words * 8 + 1) +
+          used_dims.size() * (words * 64 + kLocatorCells);
       EXPECT_EQ(pop.auxiliary_bytes(), lookups + bitsets)
           << "k=" << k << " block=" << block;
-      // Counting rows does not change it: the bitsets never outgrow a block.
+      // Counting rows does not change it: nothing outgrows a block.
       pop.accumulate(random_rows(rng, 300, d).data(), 300);
       EXPECT_EQ(pop.auxiliary_bytes(), lookups + bitsets);
     }

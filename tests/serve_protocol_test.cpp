@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "serve/protocol.hpp"
@@ -119,6 +120,26 @@ TEST(ServeProtocol, PayloadSizeFormula) {
   EXPECT_EQ(query_payload_bytes(10, 4), 8u + 10 * 4 * sizeof(Value));
   // The admission cap must not overflow for hostile shapes.
   EXPECT_GT(query_payload_bytes(1u << 20, 256), 1u << 30);
+}
+
+TEST(ServeProtocol, NonFiniteValuesAreRejectedNamingTheRow) {
+  // A NaN has no bin (DimensionGrid::bin_of would return num_bins(), which
+  // wraps to bin 0 on a 256-bin dim), so the decoder refuses the frame.
+  for (const Value bad : {std::numeric_limits<Value>::quiet_NaN(),
+                          std::numeric_limits<Value>::infinity(),
+                          -std::numeric_limits<Value>::infinity()}) {
+    QueryBatch batch = make_batch(4, 3);
+    batch.values[2 * 3 + 1] = bad;  // row 2, dim 1
+    expect_input_error(encode_query(batch), 10, 3,
+                       "non-finite value in row 2, dim 1");
+  }
+  // The float extremes are finite and pass.
+  QueryBatch batch = make_batch(2, 3);
+  batch.values[0] = std::numeric_limits<Value>::max();
+  batch.values[5] = std::numeric_limits<Value>::lowest();
+  const auto payload = encode_query(batch);
+  EXPECT_EQ(decode_query(payload.data(), payload.size(), 10, 3).values,
+            batch.values);
 }
 
 }  // namespace
