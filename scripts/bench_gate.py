@@ -26,8 +26,9 @@ of (BENCH, TAG_DEN) and (BENCH, TAG_NUM) must satisfy
 
 Both rows come from the same fresh run on the same machine, so the ratio
 is machine-independent and a violation fails the gate (exit 1) even
-without --strict.  The I/O pipeline bench uses this:
-    --speedup io:e2e-prefetch=on:e2e-prefetch=off:1.3
+without --strict.  For example, to require the bucketed join to run at
+least 2x faster than the pairwise one on the 5000-unit micro case:
+    --speedup join:micro-clustered-n=5000-kernel=bucketed:micro-clustered-n=5000-kernel=pairwise:2.0
 
 Serving-path rows wrap a "pmafia-serve-v1" report instead of the batch
 report (no records/phases, so the throughput comparison skips them).

@@ -11,7 +11,6 @@
 #include "core/trace.hpp"
 #include "common/math_util.hpp"
 #include "grid/uniform_grid.hpp"
-#include "io/pipeline.hpp"
 #include "mp/comm.hpp"
 #include "taskpart/taskpart.hpp"
 #include "units/populate.hpp"
@@ -59,12 +58,7 @@ bool stores_equal(const UnitStore& a, const UnitStore& b) {
 class MafiaWorker {
  public:
   MafiaWorker(const DataSource& data, const MafiaOptions& opt, mp::Comm& comm)
-      : data_(data), opt_(opt), comm_(comm), tracer_(&comm.stats()) {
-    // Each rank owns its pipeline decorator: every scan_local then spawns
-    // its own producer thread over its own ring, so p ranks prefetch their
-    // p partitions independently (the paper's p local disks).
-    if (opt_.io.prefetch) pipelined_.emplace(data_, opt_.io.buffers);
-  }
+      : data_(data), opt_(opt), comm_(comm), tracer_(&comm.stats()) {}
 
   void run() {
     const int p = comm_.size();
@@ -847,19 +841,25 @@ class MafiaWorker {
     }
   }
 
-  /// Chunked scan of `range` (this rank's record partition, or its slice
-  /// of an append batch), pipelined when opt_.io.prefetch is set and timed
-  /// either way: the scan's I/O split (read vs wait vs compute) is
-  /// attributed to `phase` in the run trace.
+  /// Timed chunked scan of `range` (this rank's record partition, or its
+  /// slice of an append batch), attributed to `phase` in the run trace:
+  /// compute is time inside `fn`, read is the rest of the scan.
   void scan_local(const char* phase, const BlockRange& range,
                   const ChunkFn& fn) {
+    const std::size_t d = data_.num_dims();
+    const Timer scan_timer;
     IoScanStats stats;
-    if (pipelined_) {
-      pipelined_->scan_with_stats(range.begin, range.end, opt_.chunk_records,
-                                  fn, stats);
-    } else {
-      timed_scan(data_, range.begin, range.end, opt_.chunk_records, fn, stats);
-    }
+    data_.scan(range.begin, range.end, opt_.chunk_records,
+               [&](const Value* rows, std::size_t nrows) {
+                 const Timer compute;
+                 fn(rows, nrows);
+                 stats.compute_seconds += compute.seconds();
+                 ++stats.chunks;
+                 stats.bytes += nrows * d * sizeof(Value);
+               });
+    stats.scan_seconds = scan_timer.seconds();
+    stats.read_seconds =
+        std::max(0.0, stats.scan_seconds - stats.compute_seconds);
     tracer_.add_io(phase, stats);
   }
 
@@ -893,7 +893,6 @@ class MafiaWorker {
   const MafiaOptions& opt_;
   mp::Comm& comm_;
   PhaseTracer tracer_;
-  std::optional<PipelinedSource> pipelined_;
   BlockRange my_records_;
   std::uint64_t fingerprint_ = 0;
 
@@ -999,7 +998,6 @@ MafiaResult run_pmafia(const DataSource& data, const MafiaOptions& options,
   // snapshots (so per-phase deltas add up to them exactly).
   result.phases = result.trace.max_phases;
   result.comm = result.trace.comm_total();
-  result.io = options.io;
   result.total_seconds = total.seconds();
   result.num_records = static_cast<std::size_t>(data.num_records());
   result.num_dims = data.num_dims();

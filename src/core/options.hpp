@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "grid/adaptive_grid.hpp"
-#include "io/pipeline.hpp"
 #include "mp/backend.hpp"
 #include "mp/faults.hpp"
 #include "mp/stats.hpp"
@@ -136,14 +135,6 @@ struct MafiaOptions {
   /// buffer).
   std::size_t chunk_records = 1 << 16;
 
-  /// Pipelined prefetching for the data passes (io/pipeline.hpp): with
-  /// `io.prefetch` set, every chunked scan runs through a PipelinedSource
-  /// so the next chunk is read while the current one is processed.  Results
-  /// are bit-identical either way (the pipeline preserves the synchronous
-  /// chunk sequence); only where the time goes changes, and the per-phase
-  /// io stats in the run report show the split.
-  IoConfig io;
-
   /// Populate tuning: the block size of both sweeps and the hash-lookup
   /// threshold.  The row source picks the sweep — streamed records count
   /// through the bitmap sweep, a transaction table through the packed
@@ -234,7 +225,6 @@ struct MafiaOptions {
 
   void validate() const {
     grid.validate();
-    io.validate();
     require(chunk_records >= 1, "MafiaOptions: chunk_records must be positive");
     require(populate.block_records >= 1,
             "MafiaOptions: populate.block_records must be positive");

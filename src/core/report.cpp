@@ -28,10 +28,8 @@ void write_io(JsonWriter& w, const IoScanStats& s) {
   w.key("chunks").value(s.chunks);
   w.key("bytes_read").value(s.bytes);
   w.key("read_seconds").value(s.read_seconds);
-  w.key("wait_seconds").value(s.wait_seconds);
   w.key("compute_seconds").value(s.compute_seconds);
   w.key("scan_seconds").value(s.scan_seconds);
-  w.key("overlap_fraction").value(s.overlap_fraction());
   w.end_object();
 }
 
@@ -131,12 +129,9 @@ std::string render_report(const MafiaResult& result) {
   // Only meaningful when the trace carries the per-rank breakdown.
   if (!result.trace.empty()) {
     const IoScanStats io = result.trace.io_total();
-    os << "io (all ranks): prefetch " << (result.io.prefetch ? "on" : "off");
-    if (result.io.prefetch) os << " (" << result.io.buffers << " buffers)";
-    os << "; " << io.chunks << " chunks, " << io.bytes << " bytes read; "
-       << "read " << io.read_seconds << " s, wait " << io.wait_seconds
-       << " s, compute " << io.compute_seconds << " s, overlap "
-       << static_cast<int>(io.overlap_fraction() * 100.0 + 0.5) << "%\n";
+    os << "io (all ranks): " << io.chunks << " chunks, " << io.bytes
+       << " bytes read; read " << io.read_seconds << " s, compute "
+       << io.compute_seconds << " s\n";
   }
 
   // Phase seconds: the max column is a true cross-rank maximum (an
@@ -357,12 +352,9 @@ std::string render_report_json(const MafiaResult& result,
   w.key("comm");
   write_comm(w, result.comm);
 
-  // The I/O pipeline configuration plus job-wide chunked-scan accounting
-  // (additive in pmafia-report-v1; totals are zero when the result predates
-  // the trace exchange).
+  // Job-wide chunked-scan accounting (zero when the result predates the
+  // trace exchange).
   w.key("io").begin_object();
-  w.key("prefetch").value(result.io.prefetch);
-  w.key("buffers").value(result.io.buffers);
   w.key("total");
   write_io(w, result.trace.io_total());
   w.end_object();

@@ -6,7 +6,7 @@ namespace mafia {
 
 namespace {
 
-constexpr std::uint32_t kWorkerResultVersion = 3;  // v3: populate ledger
+constexpr std::uint32_t kWorkerResultVersion = 4;  // v4: io stats lose wait
 
 }  // namespace
 
@@ -122,7 +122,6 @@ void write_phase_stats(ByteWriter& w, const PhaseStats& ps) {
   w.pod(ps.io.chunks);
   w.pod(ps.io.bytes);
   w.pod(ps.io.read_seconds);
-  w.pod(ps.io.wait_seconds);
   w.pod(ps.io.compute_seconds);
   w.pod(ps.io.scan_seconds);
 }
@@ -134,7 +133,6 @@ PhaseStats read_phase_stats(ByteReader& r) {
   ps.io.chunks = r.pod<std::uint64_t>();
   ps.io.bytes = r.pod<std::uint64_t>();
   ps.io.read_seconds = r.pod<double>();
-  ps.io.wait_seconds = r.pod<double>();
   ps.io.compute_seconds = r.pod<double>();
   ps.io.scan_seconds = r.pod<double>();
   return ps;

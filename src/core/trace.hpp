@@ -13,6 +13,8 @@
 // rendered by render_report / render_report_json.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "io/pipeline.hpp"
 #include "mp/stats.hpp"
 
 namespace mafia {
@@ -28,6 +29,45 @@ namespace mafia {
 namespace mp {
 class Comm;
 }  // namespace mp
+
+/// I/O accounting for one or more chunked scans (MafiaWorker::scan_local):
+/// `compute_seconds` is time inside the consumer callback and
+/// `read_seconds` is the rest of the scan — reading and validating chunks.
+struct IoScanStats {
+  std::uint64_t chunks = 0;
+  std::uint64_t bytes = 0;  ///< value bytes delivered to the callback
+  double read_seconds = 0.0;
+  double compute_seconds = 0.0;
+  double scan_seconds = 0.0;  ///< whole-scan wall time
+
+  void merge(const IoScanStats& other) {
+    chunks += other.chunks;
+    bytes += other.bytes;
+    read_seconds += other.read_seconds;
+    compute_seconds += other.compute_seconds;
+    scan_seconds += other.scan_seconds;
+  }
+
+  /// Fixed-width serialization for the trace exchange (doubles bit-cast to
+  /// preserve exact values across the gather).
+  static constexpr std::size_t kSerializedWords = 5;
+  [[nodiscard]] std::array<std::uint64_t, kSerializedWords> serialize() const {
+    return {chunks, bytes, std::bit_cast<std::uint64_t>(read_seconds),
+            std::bit_cast<std::uint64_t>(compute_seconds),
+            std::bit_cast<std::uint64_t>(scan_seconds)};
+  }
+  [[nodiscard]] static IoScanStats deserialize(const std::uint64_t* words) {
+    IoScanStats s;
+    s.chunks = words[0];
+    s.bytes = words[1];
+    s.read_seconds = std::bit_cast<double>(words[2]);
+    s.compute_seconds = std::bit_cast<double>(words[3]);
+    s.scan_seconds = std::bit_cast<double>(words[4]);
+    return s;
+  }
+
+  [[nodiscard]] bool empty() const { return chunks == 0 && scan_seconds == 0.0; }
+};
 
 /// Wall seconds plus communication-counter deltas and chunked-scan I/O
 /// accounting for one phase on one rank.  The comm deltas of all phases sum

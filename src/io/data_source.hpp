@@ -54,6 +54,10 @@ class DataSource {
 class InMemorySource final : public DataSource {
  public:
   explicit InMemorySource(const Dataset& data) : data_(data) {}
+  /// Owning variant, for rows that nothing else holds (a parsed CSV).
+  explicit InMemorySource(Dataset&& data)
+      : owned_(std::make_unique<const Dataset>(std::move(data))),
+        data_(*owned_) {}
 
   [[nodiscard]] RecordIndex num_records() const override { return data_.num_records(); }
   [[nodiscard]] std::size_t num_dims() const override { return data_.num_dims(); }
@@ -73,6 +77,7 @@ class InMemorySource final : public DataSource {
   }
 
  private:
+  std::unique_ptr<const Dataset> owned_;
   const Dataset& data_;
 };
 

@@ -49,40 +49,57 @@ void remove_staged(const StagedPartitions& staged) {
   for (const std::string& path : staged.paths) std::remove(path.c_str());
 }
 
-StagedSource::StagedSource(const StagedPartitions& staged)
-    : total_(staged.num_records), dims_(staged.num_dims) {
-  require(!staged.paths.empty(), "StagedSource: no partitions");
-  files_.reserve(staged.paths.size());
-  offsets_.reserve(staged.paths.size() + 1);
+namespace {
+
+std::vector<std::unique_ptr<const DataSource>> open_files(
+    const std::vector<std::string>& paths) {
+  std::vector<std::unique_ptr<const DataSource>> parts;
+  parts.reserve(paths.size());
+  for (const std::string& path : paths) {
+    parts.push_back(std::make_unique<FileSource>(path));
+  }
+  return parts;
+}
+
+}  // namespace
+
+StagedSource::StagedSource(std::vector<std::unique_ptr<const DataSource>> parts)
+    : parts_(std::move(parts)) {
+  require(!parts_.empty(), "StagedSource: no partitions");
+  dims_ = parts_.front()->num_dims();
+  offsets_.reserve(parts_.size() + 1);
   RecordIndex at = 0;
-  for (const std::string& path : staged.paths) {
-    files_.emplace_back(path);
-    offsets_.push_back(at);
-    at += files_.back().num_records();
-    require(files_.back().num_dims() == dims_,
+  for (const auto& part : parts_) {
+    require(part->num_dims() == dims_,
             "StagedSource: partition dimensionality mismatch");
+    offsets_.push_back(at);
+    at += part->num_records();
   }
   offsets_.push_back(at);
-  require(at == total_, "StagedSource: partition sizes do not sum to total");
+}
+
+StagedSource::StagedSource(const StagedPartitions& staged)
+    : StagedSource(open_files(staged.paths)) {
+  require(dims_ == staged.num_dims && num_records() == staged.num_records,
+          "StagedSource: partitions do not match the staged shape");
 }
 
 void StagedSource::scan(RecordIndex begin, RecordIndex end,
                         std::size_t chunk_records, const ChunkFn& fn) const {
-  require(begin <= end && end <= total_, "StagedSource::scan: bad range");
-  for (std::size_t p = 0; p < files_.size() && begin < end; ++p) {
-    const RecordIndex part_begin = offsets_[p];
-    const RecordIndex part_end = offsets_[p + 1];
-    if (end <= part_begin || begin >= part_end) continue;
-    const RecordIndex lo = std::max(begin, part_begin) - part_begin;
-    const RecordIndex hi = std::min(end, part_end) - part_begin;
-    files_[p].scan(lo, hi, chunk_records, fn);
+  require(begin <= end && end <= num_records(), "StagedSource::scan: bad range");
+  for (std::size_t p = 0; p < parts_.size(); ++p) {
+    const RecordIndex lo = std::max(begin, offsets_[p]);
+    const RecordIndex hi = std::min(end, offsets_[p + 1]);
+    if (lo < hi) {
+      parts_[p]->scan(lo - offsets_[p], hi - offsets_[p], chunk_records, fn);
+    }
   }
 }
 
 std::size_t StagedSource::partitions_touched(RecordIndex begin,
                                              RecordIndex end) const {
   std::size_t touched = 0;
-  for (std::size_t p = 0; p < files_.size(); ++p) {
+  for (std::size_t p = 0; p < parts_.size(); ++p) {
     const bool overlaps = end > offsets_[p] && begin < offsets_[p + 1];
     touched += overlaps ? 1 : 0;
   }

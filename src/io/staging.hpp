@@ -42,29 +42,32 @@ struct StagedPartitions {
 /// Deletes the staged files.
 void remove_staged(const StagedPartitions& staged);
 
-/// DataSource over staged per-rank files, presenting the global record
-/// numbering: scanning records [begin, end) reads from the file(s) owning
-/// that range.  When the driver's rank r scans its block partition, every
-/// byte comes from file r — the paper's local-disk access pattern.
+/// DataSource concatenating its parts in order under one global record
+/// numbering: scanning records [begin, end) reads from the part(s) owning
+/// that range, splitting chunks at part boundaries.  The parts are the
+/// per-rank staged files — when the driver's rank r scans its block
+/// partition, every byte comes from file r, the paper's local-disk access
+/// pattern — or an append's provenance segments followed by its batch.
 class StagedSource final : public DataSource {
  public:
+  explicit StagedSource(std::vector<std::unique_ptr<const DataSource>> parts);
+  /// Opens each staged partition file as a FileSource.
   explicit StagedSource(const StagedPartitions& staged);
 
-  [[nodiscard]] RecordIndex num_records() const override { return total_; }
+  [[nodiscard]] RecordIndex num_records() const override { return offsets_.back(); }
   [[nodiscard]] std::size_t num_dims() const override { return dims_; }
 
   void scan(RecordIndex begin, RecordIndex end, std::size_t chunk_records,
             const ChunkFn& fn) const override;
 
-  /// Number of distinct partition files a scan of [begin, end) touches —
-  /// tests assert this is 1 for every rank-aligned scan.
+  /// Number of distinct parts a scan of [begin, end) touches — tests
+  /// assert this is 1 for every rank-aligned scan of staged partitions.
   [[nodiscard]] std::size_t partitions_touched(RecordIndex begin,
                                                RecordIndex end) const;
 
  private:
-  std::vector<FileSource> files_;
-  std::vector<RecordIndex> offsets_;  ///< global start of each partition
-  RecordIndex total_ = 0;
+  std::vector<std::unique_ptr<const DataSource>> parts_;
+  std::vector<RecordIndex> offsets_;  ///< global start of each part, then the total
   std::size_t dims_ = 0;
 };
 

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -333,10 +334,10 @@ TEST_F(CliPipeline, TransactionTableLedgerInReport) {
 }
 
 TEST_F(CliPipeline, EmptyRankPartitionsProduceValidReport) {
-  // More ranks than records: some ranks own zero rows, so per-rank io stats
-  // divide by zero-ish totals (the overlap fraction's read_seconds = 0
-  // case).  The run must succeed, the text report must not print garbage
-  // percentages, and the JSON must stay parseable (no bare nan/inf tokens).
+  // More ranks than records: some ranks own zero rows, so their per-rank
+  // io stats are all zero.  The run must succeed, the text report must not
+  // print garbage, and the JSON must stay parseable (no bare nan/inf
+  // tokens).
   const std::string report = temp("mafia_cli_empty_report.json");
   ASSERT_EQ(
       run_cli("generate --out " + data_ + " --dims 4 --records 5 --seed 11")
@@ -344,7 +345,7 @@ TEST_F(CliPipeline, EmptyRankPartitionsProduceValidReport) {
       0);
   auto [status, out] = run_cli("cluster --data " + data_ +
                                " --ranks 8 --domain-lo 0 --domain-hi 100"
-                               " --io-prefetch --report-json " + report);
+                               " --report-json " + report);
   ASSERT_EQ(status, 0) << out;
   EXPECT_EQ(out.find("nan"), std::string::npos) << out;
 
@@ -539,7 +540,95 @@ TEST(CliErrors, CorruptDataFilesExitWithInputCode) {
   EXPECT_EQ(magic, 3) << magic_out;
   EXPECT_NE(magic_out.find("bad magic"), std::string::npos) << magic_out;
 
+  // A NaN in the value block: the header is valid, so the run starts and
+  // the rank whose partition holds the record fails inside its scan.
+  // Record 1500 of 2200 lies in rank 2's partition at --ranks 4.
+  ASSERT_EQ(run_cli("generate --out " + data + " --dims 4 --records 2000"
+                    " --seed 3 --cluster 0,2:20:40")
+                .first,
+            0);
+  {
+    std::fstream io(data, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(28 + (1500 * 4 + 2) * 4);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    io.write(reinterpret_cast<const char*>(&nan), sizeof(nan));
+  }
+  const std::string model = temp("mafia_cli_corrupt_model.txt");
+  const std::string report = temp("mafia_cli_corrupt_report.json");
+  for (const char* backend : {"threads", "process"}) {
+    SCOPED_TRACE(backend);
+    auto [nan_status, nan_out] =
+        run_cli("cluster --data " + data + " --ranks 4 --mp-backend " +
+                backend + " --save " + model + " --report-json " + report);
+    EXPECT_EQ(nan_status, 3) << nan_out;
+    for (const std::string fragment :
+         {"non-finite value", "record 1500", "dim 2", "byte offset 24036"}) {
+      EXPECT_NE(nan_out.find(fragment), std::string::npos) << nan_out;
+    }
+    const mafia::JsonValue doc = mafia::json_parse(slurp(report));
+    EXPECT_EQ(doc.at("schema").string, "pmafia-error-v1");
+    EXPECT_EQ(doc.at("error").at("class").string, "input");
+    EXPECT_NE(doc.at("error").at("message").string.find("record 1500"),
+              std::string::npos);
+    EXPECT_FALSE(std::filesystem::exists(model));
+    std::remove(report.c_str());
+  }
+
   std::remove(data.c_str());
+}
+
+TEST(CliErrors, AppendRefusesBaseSegmentsThatChanged) {
+  // Each provenance segment is checked against its own recorded shape, not
+  // only their sum: base +5 records and first batch -5 still sum to the
+  // checkpointed count, but the stored level counts no longer describe
+  // either file.
+  const std::string base = temp("mafia_cli_seg_base.bin");
+  const std::string batch1 = temp("mafia_cli_seg_b1.bin");
+  const std::string batch2 = temp("mafia_cli_seg_b2.bin");
+  const std::string model = temp("mafia_cli_seg_model.txt");
+  const std::string ckpt = temp("mafia_cli_seg_ckpt");
+  const auto gen = [](const std::string& out, int records, int seed) {
+    return run_cli("generate --out " + out + " --dims 4 --noise 0 --records " +
+                   std::to_string(records) + " --seed " +
+                   std::to_string(seed) + " --cluster 0,2:20:40")
+        .first;
+  };
+  const std::string domain = " --domain-lo 0 --domain-hi 100";
+  ASSERT_EQ(gen(base, 2000, 3), 0);
+  ASSERT_EQ(gen(batch1, 500, 4), 0);
+  ASSERT_EQ(gen(batch2, 300, 5), 0);
+  ASSERT_EQ(run_cli("cluster --data " + base + " --ranks 2 --checkpoint-dir " +
+                    ckpt + " --save " + model + domain)
+                .first,
+            0);
+  const std::string append = "append --model " + model +
+                             " --checkpoint-dir " + ckpt + " --ranks 2" +
+                             domain + " --data ";
+  auto [first, first_out] = run_cli(append + batch1);
+  ASSERT_EQ(first, 0) << first_out;
+  const std::string model_bytes = slurp(model);
+
+  ASSERT_EQ(gen(base, 2005, 3), 0);
+  ASSERT_EQ(gen(batch1, 495, 4), 0);
+  auto [shifted, shifted_out] = run_cli(append + batch2);
+  EXPECT_EQ(shifted, 3) << shifted_out;
+  EXPECT_NE(shifted_out.find("segment " + base + " holds 2005 records"),
+            std::string::npos)
+      << shifted_out;
+  EXPECT_EQ(slurp(model), model_bytes) << "a refused append kept the model";
+
+  // A truncated base segment fails on its header alone.
+  ASSERT_EQ(gen(base, 2000, 3), 0);
+  std::filesystem::resize_file(base, std::filesystem::file_size(base) - 10);
+  auto [truncated, truncated_out] = run_cli(append + batch2);
+  EXPECT_EQ(truncated, 3) << truncated_out;
+  EXPECT_NE(truncated_out.find("size mismatch"), std::string::npos)
+      << truncated_out;
+
+  for (const std::string& f : {base, batch1, batch2, model}) {
+    std::remove(f.c_str());
+  }
+  std::filesystem::remove_all(ckpt);
 }
 
 TEST(CliErrors, FailureWritesErrorObjectToReportJson) {

@@ -22,7 +22,6 @@
 #include "io/csv.hpp"
 #include "io/data_source.hpp"
 #include "io/dataset.hpp"
-#include "io/pipeline.hpp"
 #include "io/record_file.hpp"
 
 namespace mafia {
@@ -226,12 +225,6 @@ TEST(CorruptRecordFile, NaNPinnedToRecordDimAndByteOffset) {
   expect_input_error(
       [&] { file.scan(0, 100, 10, [](const Value*, std::size_t) {}); },
       fragments);
-
-  // Pipelined wrapper: the producer-side InputError crosses the ring.
-  const PipelinedSource piped(file, 2);
-  expect_input_error(
-      [&] { piped.scan(0, 100, 10, [](const Value*, std::size_t) {}); },
-      fragments);
 }
 
 TEST(CorruptRecordFile, InfinityRejectedToo) {
@@ -241,6 +234,25 @@ TEST(CorruptRecordFile, InfinityRejectedToo) {
   poison_value(tmp.path(), 0, 0, d, -std::numeric_limits<float>::infinity());
   expect_input_error([&] { (void)read_record_file(tmp.path()); },
                      {"non-finite value", "record 0", "dim 0"});
+}
+
+TEST(CorruptRecordFile, TruncatedAfterOpenFailsMidScan) {
+  // A file that shrinks after its header was checked (a segment rewritten
+  // while an append scans it): the scan delivers the complete chunks
+  // before the cut, then fails with an InputError naming the file.
+  const std::size_t d = 4;
+  TempFile tmp("mafia_corrupt_truncated_after_open.rec");
+  write_record_file(tmp.path(), make_dataset(100, d), /*with_labels=*/false);
+  const FileSource file(tmp.path());
+  std::filesystem::resize_file(
+      tmp.path(), kRecordFileHeaderBytes + 37 * d * sizeof(Value) + 7);
+  std::size_t chunks = 0;
+  expect_input_error(
+      [&] {
+        file.scan(0, 100, 10, [&](const Value*, std::size_t) { ++chunks; });
+      },
+      {"truncated read", tmp.path()});
+  EXPECT_EQ(chunks, 3u);  // 30 of the 37 whole rows, in 10-row chunks
 }
 
 TEST(CorruptRecordFile, SlabReaderMatchesLegacySemantics) {

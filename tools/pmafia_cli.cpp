@@ -55,7 +55,7 @@ namespace {
 using namespace mafia;
 
 /// Flags that take no value (presence is the value).
-const std::set<std::string> kBooleanFlags = {"resume", "io-prefetch", "stats"};
+const std::set<std::string> kBooleanFlags = {"resume", "stats"};
 
 /// Minimal --flag value parser: flags() holds every "--name value" pair;
 /// repeated flags accumulate.  Flags in kBooleanFlags consume no value.
@@ -249,11 +249,15 @@ void write_text_file_atomic(const std::string& path,
   require(!ec, "cannot rename " + tmp + " to " + path);
 }
 
+bool is_csv(const std::string& path) {
+  return path.size() > 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+}
+
 /// Loads a data set by extension (.csv or record file).  A CSV whose header
 /// ends in a "label" column (as `pmafia generate` writes) has that column
 /// read as the ground-truth label, not as a data dimension.
 Dataset load_data(const std::string& path) {
-  if (path.size() > 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
+  if (is_csv(path)) {
     CsvOptions options;
     std::ifstream probe(path);
     std::string header;
@@ -271,13 +275,22 @@ Dataset load_data(const std::string& path) {
   return read_record_file(path);
 }
 
+/// Opens a data set for chunked scans.  A record file is scanned in place,
+/// each rank reading only its own partition (Algorithm 2's "read N/p
+/// chunks of B records from local disk"); a CSV has no random access, so
+/// it is parsed into memory.
+std::unique_ptr<const DataSource> open_data(const std::string& path) {
+  if (is_csv(path)) return std::make_unique<InMemorySource>(load_data(path));
+  return std::make_unique<FileSource>(path);
+}
+
 /// The flags options_from_args reads; every subcommand that runs pMAFIA
 /// accepts them.
 const std::set<std::string> kRunFlags = {
     "alpha", "beta", "fine-bins", "window-cells", "noise-sigmas", "chunk",
     "min-dims", "populate-block", "join-kernel", "domain-lo", "domain-hi",
-    "io-prefetch", "io-buffers", "checkpoint-dir", "resume", "max-cdu-bytes",
-    "mp-backend", "mp-deadline", "mp-shm-slot", "inject-fault", "ranks"};
+    "checkpoint-dir", "resume", "max-cdu-bytes", "mp-backend", "mp-deadline",
+    "mp-shm-slot", "inject-fault", "ranks"};
 
 MafiaOptions options_from_args(const Args& args) {
   MafiaOptions o;
@@ -309,9 +322,6 @@ MafiaOptions options_from_args(const Args& args) {
     o.fixed_domain = {{static_cast<Value>(args.get_double("domain-lo", 0.0)),
                        static_cast<Value>(args.get_double("domain-hi", 100.0))}};
   }
-  o.io.prefetch = args.has("io-prefetch");
-  o.io.buffers = static_cast<std::size_t>(
-      args.get_int("io-buffers", static_cast<long>(o.io.buffers)));
   o.checkpoint.directory = args.get("checkpoint-dir");
   o.checkpoint.resume = args.has("resume");
   o.max_cdu_bytes =
@@ -333,7 +343,7 @@ MafiaOptions options_from_args(const Args& args) {
 /// record file), mirroring load_data's sniffing.
 void write_dataset(const std::string& out, const Dataset& data,
                    std::size_t planted_clusters) {
-  if (out.size() > 4 && out.compare(out.size() - 4, 4, ".csv") == 0) {
+  if (is_csv(out)) {
     CsvOptions co;
     co.last_column_is_label = true;
     write_csv(out, data, co);
@@ -380,8 +390,7 @@ int cmd_generate(const Args& args) {
 int cmd_cluster(const Args& args) {
   const std::string path = args.get("data");
   require(!path.empty(), "cluster: --data is required");
-  const Dataset data = load_data(path);
-  InMemorySource source(data);
+  const auto source = open_data(path);
   const int ranks = static_cast<int>(args.get_int("ranks", 1));
 
   MafiaResult result;
@@ -393,16 +402,16 @@ int cmd_cluster(const Args& args) {
       co.fixed_domain = {{static_cast<Value>(args.get_double("domain-lo", 0.0)),
                           static_cast<Value>(args.get_double("domain-hi", 100.0))}};
     }
-    result = run_clique(source, co, ranks);
+    result = run_clique(*source, co, ranks);
   } else {
     MafiaOptions o = options_from_args(args);
     if (o.checkpoint.enabled()) {
-      // Record where the data came from so `pmafia append` can rebuild the
-      // base data set from the final checkpoint alone.
+      // Record where the data came from so `pmafia append` can scan the
+      // base data set again from the final checkpoint alone.
       o.checkpoint.provenance = {
-          {path, static_cast<std::uint64_t>(data.num_records())}};
+          {path, static_cast<std::uint64_t>(source->num_records())}};
     }
-    result = run_pmafia(source, o, ranks);
+    result = run_pmafia(*source, o, ranks);
   }
   std::fputs(render_report(result).c_str(), stdout);
   if (args.has("report-json")) {
@@ -444,31 +453,37 @@ int cmd_append(const Args& args) {
   require_input(model.grids.num_dims() == state.num_dims,
                 "append: model dimensionality does not match the checkpoint");
 
-  // Rebuild the base data from the recorded segments, then concatenate the
-  // new batch.  Any drift between a segment file and its recorded record
-  // count means the base data changed out from under the checkpoint.
-  Dataset data = load_data(state.provenance[0].path);
-  for (std::size_t s = 1; s < state.provenance.size(); ++s) {
-    data.append_rows(load_data(state.provenance[s].path));
-  }
-  require_input(
-      static_cast<std::uint64_t>(data.num_records()) == state.num_records,
-      "append: base data segments no longer hold the checkpointed record "
-      "count");
-  const Dataset batch = load_data(batch_path);
-  require_input(batch.num_dims() == data.num_dims(),
-                "append: batch dimensionality does not match the base data");
-  data.append_rows(batch);
-
-  o.append = AppendConfig{state.num_records};
+  // Scan the base data in place from the recorded segments, followed by
+  // the new batch.  A segment whose header no longer matches its recorded
+  // shape means the base data changed out from under the checkpoint.
+  std::vector<std::unique_ptr<const DataSource>> parts;
+  std::uint64_t base_records = 0;
   o.checkpoint.provenance.clear();
   for (const DataSegment& seg : state.provenance) {
+    parts.push_back(open_data(seg.path));
+    const DataSource& part = *parts.back();
+    require_input(
+        static_cast<std::uint64_t>(part.num_records()) == seg.records &&
+            part.num_dims() == state.num_dims,
+        "append: base data segment " + seg.path + " holds " +
+            std::to_string(part.num_records()) + " records x " +
+            std::to_string(part.num_dims()) + " dims; the checkpoint "
+            "recorded " + std::to_string(seg.records) + " x " +
+            std::to_string(state.num_dims));
     o.checkpoint.provenance.emplace_back(seg.path, seg.records);
+    base_records += seg.records;
   }
+  require_input(base_records == state.num_records,
+                "append: base data segments do not sum to the checkpointed "
+                "record count");
+  parts.push_back(open_data(batch_path));
+  require_input(parts.back()->num_dims() == state.num_dims,
+                "append: batch dimensionality does not match the base data");
   o.checkpoint.provenance.emplace_back(
-      batch_path, static_cast<std::uint64_t>(batch.num_records()));
+      batch_path, static_cast<std::uint64_t>(parts.back()->num_records()));
+  o.append = AppendConfig{state.num_records};
+  const StagedSource source(std::move(parts));
 
-  InMemorySource source(data);
   const int ranks = static_cast<int>(args.get_int("ranks", 1));
   const MafiaResult result = run_pmafia(source, o, ranks);
   std::fputs(render_report(result).c_str(), stdout);
@@ -488,8 +503,7 @@ int cmd_append(const Args& args) {
 int cmd_assign(const Args& args) {
   const std::string path = args.get("data");
   require(!path.empty(), "assign: --data is required");
-  const Dataset data = load_data(path);
-  InMemorySource source(data);
+  const auto source = open_data(path);
 
   // Either reuse a saved model (no re-clustering) or cluster now.
   GridSet grids;
@@ -498,16 +512,16 @@ int cmd_assign(const Args& args) {
     Model model = load_model(args.get("model"));
     grids = std::move(model.grids);
     clusters = std::move(model.clusters);
-    require(grids.num_dims() == data.num_dims(),
+    require(grids.num_dims() == source->num_dims(),
             "assign: model dimensionality does not match the data");
   } else {
-    MafiaResult result = run_pmafia(source, options_from_args(args),
+    MafiaResult result = run_pmafia(*source, options_from_args(args),
                                     static_cast<int>(args.get_int("ranks", 1)));
     grids = std::move(result.grids);
     clusters = std::move(result.clusters);
   }
 
-  const auto labels = assign_members(source, clusters, grids);
+  const auto labels = assign_members(*source, clusters, grids);
   const std::string out = args.get("out", "labels.csv");
   std::FILE* f = std::fopen(out.c_str(), "w");
   require(f != nullptr, "assign: cannot open " + out);
@@ -517,7 +531,7 @@ int cmd_assign(const Args& args) {
   }
   std::fclose(f);
 
-  const MembershipCounts counts = count_members(source, clusters, grids);
+  const MembershipCounts counts = tally_labels(labels, clusters.size());
   std::printf("%zu clusters; wrote %zu labels to %s\n", clusters.size(),
               labels.size(), out.c_str());
   for (std::size_t c = 0; c < counts.per_cluster.size(); ++c) {
@@ -656,28 +670,25 @@ int cmd_query(const Args& args) {
 
   const std::string path = args.get("data");
   require(!path.empty(), "query: --data or --stats is required");
-  const Dataset data = load_data(path);
+  const auto source = open_data(path);
   const auto max_batch =
       static_cast<std::size_t>(args.get_int("max-batch", 4096));
   require(max_batch >= 1, "query: --max-batch must be positive");
 
   std::vector<std::int32_t> labels;
-  labels.reserve(static_cast<std::size_t>(data.num_records()));
+  labels.reserve(static_cast<std::size_t>(source->num_records()));
   std::uint64_t batches = 0;
-  const std::size_t d = data.num_dims();
-  for (RecordIndex at = 0; at < data.num_records();) {
-    const auto take = static_cast<std::size_t>(
-        std::min<RecordIndex>(max_batch, data.num_records() - at));
-    serve::QueryBatch batch;
-    batch.num_dims = static_cast<std::uint32_t>(d);
-    batch.values.assign(
-        data.values().begin() + static_cast<std::size_t>(at) * d,
-        data.values().begin() + (static_cast<std::size_t>(at) + take) * d);
-    const std::vector<serve::RowAnswer> answers = client.query(batch);
-    for (const serve::RowAnswer& a : answers) labels.push_back(a.label);
-    at += take;
-    ++batches;
-  }
+  const std::size_t d = source->num_dims();
+  source->scan(0, source->num_records(), max_batch,
+               [&](const Value* rows, std::size_t nrows) {
+                 serve::QueryBatch batch;
+                 batch.num_dims = static_cast<std::uint32_t>(d);
+                 batch.values.assign(rows, rows + nrows * d);
+                 for (const serve::RowAnswer& a : client.query(batch)) {
+                   labels.push_back(a.label);
+                 }
+                 ++batches;
+               });
 
   if (args.has("out")) {
     const std::string out = args.get("out");
@@ -736,7 +747,6 @@ void usage() {
       "           [--domain-lo L --domain-hi H] [--xi N --tau F]\n"
       "           [--populate-block N] [--join-kernel bucketed|pairwise]\n"
       "           [--save model.txt] [--report-json report.json]\n"
-      "           [--io-prefetch] [--io-buffers N]\n"
       "           [--checkpoint-dir DIR] [--resume] [--max-cdu-bytes N]\n"
       "           [--mp-backend threads|process] [--mp-deadline SECONDS]\n"
       "           [--mp-shm-slot BYTES]\n"
@@ -744,13 +754,16 @@ void usage() {
       "            op = index, or name[@occurrence] from: barrier,\n"
       "            allreduce, reduce, bcast, gatherv, allgatherv,\n"
       "            scatterv, send, recv)\n"
+      "           (a record file is scanned in place, each rank reading\n"
+      "            its own partition; a .csv is loaded into memory)\n"
       "exit codes: 0 ok, 2 usage, 3 bad input, 4 resource limit,\n"
       "            5 injected fault, 1 internal error\n"
       "  append   --model model.txt --checkpoint-dir DIR --data BATCH\n"
       "           [--ranks P] [cluster flags] [--report-json report.json]\n"
       "           (folds BATCH into the checkpointed model incrementally,\n"
       "            rewrites model.txt atomically, refreshes the final\n"
-      "            checkpoint; bit-identical to a full rebuild)\n"
+      "            checkpoint; bit-identical to a full rebuild; scans the\n"
+      "            base segments only for levels it cannot reuse)\n"
       "  assign   --data F [--out labels.csv] [--model model.txt |\n"
       "           --ranks P + grid flags]\n"
       "  serve    --model model.txt --listen unix:/path|tcp:HOST:PORT\n"
