@@ -1,34 +1,30 @@
-// Populate sweeps by row source, on the paper's Figure 3 workload (30-d
+// The populate sweep by row source, on the paper's Figure 3 workload (30-d
 // data, 5 clusters each in a different 6-d subspace) — the phase the paper
-// calls out as "the bulk of the time" (Section 5.3).  Records stream
-// through the bitmap sweep (one block_records-bit bitset per used
-// (dim, bin) pair, counts by AND+popcount); a transaction table sweeps
-// through the lookups (packed keys up to k = 8, memcmp rows past it).
+// calls out as "the bulk of the time" (Section 5.3).  One sweep counts
+// both sources: per block it fills one byte column per used dim (binning
+// records, copying a transaction table's columns), forms one
+// block_records-bit bitset per used (dim, bin) pair, and ANDs each CDU's
+// k bitsets — reduced by popcount for records, by a weighted set-bit sum
+// for table rows.
 //
 // The table here is keyed on every (dim, bin) of the grid.  Records of
 // this workload are uniform outside their cluster's six dims, so nearly
-// every record keeps its own row and the lookups see about as many rows as
-// the bitmap sees records: the comparison is per row, not a measure of the
-// table's compression.  The table build (binning, merging) is excluded.
+// every record keeps its own row and the table sweep sees about as many
+// rows as the records sweep: the comparison is per row, not a measure of
+// the table's compression.  The table build (binning, merging) is
+// excluded.
 //
-// Three measurements, recorded as pmafia-bench-v1 rows in
+// Two measurements, recorded as pmafia-bench-v1 rows in
 // BENCH_populate.json (the committed rows are the baselines
 // scripts/bench_gate.py compares fresh runs against):
-//   * micro     — UnitPopulator::accumulate alone over fixed CDU stores:
-//     bitmap over the records and packed over the table for a k = 3 store,
-//     memcmp over the table for a k = 9 store;
-//   * 256 bins  — the bitmap sweep's worst case: every dim cut into 256
-//     equal bins and every bin used by some CDU.  The sweep forms each used
-//     (dim, bin) bitset by comparing its dim's byte column, so its cost
-//     grows with the used bins per dim (and the locator takes about one
-//     step per value at 256 bins);
-//   * crossover — the bitmap sweep amortizes its per-record binning and
-//     bitset formation over every CDU sharing a bin, so it wins when the
-//     candidate set is bin-dense and loses when few CDUs share bins (the
-//     compare and AND work grow with used bins x records while the lookups
-//     only pay per subspace).
-//     The sweep scales the CDU count at fixed records and prints the
-//     used-bins x records product where bitmaps stop winning.
+//   * micro    — UnitPopulator::accumulate alone over the records and over
+//     the table, for a k = 3 and a k = 9 store; the bench exits 1 unless
+//     both row sources count alike;
+//   * 256 bins — the sweep's worst case: every dim cut into 256 equal bins
+//     and every bin used by some CDU.  The sweep forms each used (dim, bin)
+//     bitset by comparing its dim's byte column, so its cost grows with the
+//     used bins per dim (and the locator takes about one step per value at
+//     256 bins).
 #include "bench_common.hpp"
 
 #include <limits>
@@ -141,9 +137,9 @@ int main() {
   using namespace mafia;
 
   bench::print_header(
-      "Populate sweeps — bitmap over records vs lookups over a table",
+      "Populate sweep — records vs a transaction table",
       "Section 5.3: populate dominates; 30-d, 5 clusters in 6-d subspaces",
-      "same fig3 structure, each sweep at equal work");
+      "same fig3 structure, each row source at equal work");
 
   const RecordIndex records = bench::scaled(100000);
   const GeneratorConfig cfg = workloads::fig3_parallel(records);
@@ -160,7 +156,7 @@ int main() {
   table.accumulate(data.values().data(), nrecords);
   table.finish();
 
-  // ---- micro: each sweep alone, on fixed CDU stores shaped like a
+  // ---- micro: the sweep alone, on fixed CDU stores shaped like a
   // mid-level candidate set (many small subspaces plus a few large ones).
   IcgRandom rng(77);
   const UnitStore cdus = make_cdus(rng, ref.grids, 3, 600);
@@ -169,36 +165,33 @@ int main() {
       static_cast<std::size_t>(3.0 * bench::scale()));
 
   struct MicroCase {
-    const char* name;
     const char* tag;
     const UnitStore* cdus;
     const TransactionTable* table;
   };
   const MicroCase cases[] = {
-      {"bitmap", "micro-kernel=bitmap", &cdus, nullptr},
-      {"packed", "micro-kernel=packed", &cdus, &table},
-      {"memcmp", "micro-kernel=memcmp-k9", &wide, &table}};
-  std::printf("\n[micro] accumulate only: %zu CDUs each (k=3 for bitmap and "
-              "packed, k=9 for memcmp), %zu records, %zu table rows, %zu "
-              "reps\n", cdus.size(), nrecords, table.rows(), reps);
-  std::printf("%-10s %-8s %-14s %s\n", "sweep", "source", "seconds", "rows/s");
-  double micro_tp[3] = {0, 0, 0};
-  std::vector<Count> counts[3];
-  for (std::size_t i = 0; i < 3; ++i) {
+      {"micro-kernel=bitmap", &cdus, nullptr},
+      {"micro-kernel=table", &cdus, &table},
+      {"micro-kernel=bitmap-k9", &wide, nullptr},
+      {"micro-kernel=table-k9", &wide, &table}};
+  std::printf("\n[micro] accumulate only: %zu CDUs each, %zu records, %zu "
+              "table rows, %zu reps\n", cdus.size(), nrecords, table.rows(),
+              reps);
+  std::printf("%-3s %-8s %-14s %s\n", "k", "source", "seconds", "rows/s");
+  std::vector<Count> counts[4];
+  for (std::size_t i = 0; i < 4; ++i) {
     const MicroCase& c = cases[i];
     double secs = 0.0;
-    micro_tp[i] = sweep_throughput(ref.grids, *c.cdus, data, c.table, reps,
-                                   &secs, &counts[i]);
-    std::printf("%-10s %-8s %-14.3f %.3e\n", c.name,
-                c.table != nullptr ? "table" : "records", secs, micro_tp[i]);
+    const double tp = sweep_throughput(ref.grids, *c.cdus, data, c.table,
+                                       reps, &secs, &counts[i]);
+    std::printf("%-3zu %-8s %-14.3f %.3e\n", c.cdus->k(),
+                c.table != nullptr ? "table" : "records", secs, tp);
     const std::size_t rows = c.table != nullptr ? c.table->rows() : nrecords;
     record_micro(c.tag, secs, rows * reps, data.num_dims());
   }
-  std::printf("per-row speed (micro): bitmap %.2fx vs packed\n",
-              micro_tp[0] / micro_tp[1]);
   // Same store, same records: both row sources must count alike.
-  const bool agree = counts[0] == counts[1];
-  std::printf("bitmap and packed counts %s\n",
+  const bool agree = counts[0] == counts[1] && counts[2] == counts[3];
+  std::printf("records and table counts %s\n",
               agree ? "agree" : "DIFFER (bug)");
 
   // ---- 256 bins: every dim cut into kMaxBinsPerDim equal bins; k = 2
@@ -226,41 +219,6 @@ int main() {
                 kMaxBinsPerDim, reps, secs, tp);
     record_micro("micro-kernel=bitmap-256bins", secs, nrecords * reps,
                  data.num_dims());
-  }
-
-  // ---- crossover: scale the candidate set (and with it the used-bin
-  // count driving the bitmap AND work) at fixed records; the bitmap wins
-  // while CDUs-per-used-bin stays high and loses once few CDUs share the
-  // bins it indexes.
-  std::printf("\n[crossover] bitmap (records) vs packed (table) at fixed "
-              "%zu records, k=3\n", nrecords);
-  std::printf("%-8s %-10s %-14s %-14s %s\n", "cdus", "used-bins",
-              "bitmap rows/s", "packed rows/s", "bitmap/packed");
-  double crossover_bins_records = 0.0;
-  for (const std::size_t ncdus : {4u, 12u, 50u, 200u, 800u, 3200u}) {
-    IcgRandom sweep_rng(900 + ncdus);
-    const UnitStore sweep = make_cdus(sweep_rng, ref.grids, 3, ncdus);
-    const std::size_t sweep_bins = used_bins(sweep);
-    double b_secs = 0.0, p_secs = 0.0;
-    const double b_tp =
-        sweep_throughput(ref.grids, sweep, data, nullptr, 1, &b_secs);
-    const double p_tp =
-        sweep_throughput(ref.grids, sweep, data, &table, 1, &p_secs);
-    const double ratio = b_tp / p_tp;
-    std::printf("%-8zu %-10zu %-14.3e %-14.3e %.2f\n", ncdus, sweep_bins,
-                b_tp, p_tp, ratio);
-    if (ratio < 1.0) {
-      crossover_bins_records = static_cast<double>(sweep_bins) *
-                               static_cast<double>(nrecords);
-    }
-  }
-  if (crossover_bins_records > 0.0) {
-    std::printf("bitmap stops winning below ~%.2e used-bins x records "
-                "(sparse candidate sets: binning every used dim outweighs "
-                "the few lookups it replaces)\n", crossover_bins_records);
-  } else {
-    std::printf("bitmap won at every sweep point (crossover below "
-                "4 CDUs at this record count)\n");
   }
 
   std::printf("\nrows appended to BENCH_populate.json "

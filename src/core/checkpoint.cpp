@@ -95,14 +95,11 @@ std::vector<std::uint8_t> serialize_checkpoint(const CheckpointState& state) {
   w.vec(state.raw_to_unique);
   write_grids(w, state.grids);
   w.pod(static_cast<std::uint64_t>(state.levels.size()));
-  // Version 3 extended the per-level record with the kernel id, bitmap
-  // counters, and unjoined units (see write_level_trace).
+  // Version 3 extended the per-level record with the bitmap counters and
+  // unjoined units (see write_level_trace).
   for (const LevelTrace& t : state.levels) write_level_trace(w, t);
   w.pod(static_cast<std::uint64_t>(state.registered.size()));
   for (const UnitStore& store : state.registered) write_store(w, store);
-  w.pod(static_cast<std::uint64_t>(state.populate.packed_sorted_subspaces));
-  w.pod(static_cast<std::uint64_t>(state.populate.packed_hash_subspaces));
-  w.pod(static_cast<std::uint64_t>(state.populate.memcmp_subspaces));
   w.pod(static_cast<std::uint64_t>(state.populate.bitmap_subspaces));
   w.pod(static_cast<std::uint64_t>(state.populate.block_records));
   w.pod(static_cast<std::uint64_t>(state.populate.bitmap_bytes));
@@ -201,12 +198,6 @@ CheckpointState deserialize_checkpoint(const std::uint8_t* data,
     for (std::uint64_t i = 0; i < nregistered; ++i) {
       state.registered.push_back(read_store(r));
     }
-    state.populate.packed_sorted_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.packed_hash_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.memcmp_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
     state.populate.bitmap_subspaces =
         static_cast<std::size_t>(r.pod<std::uint64_t>());
     state.populate.block_records =

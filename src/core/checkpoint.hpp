@@ -9,14 +9,14 @@
 // possible recovery point for a grid/density algorithm, since the state is
 // dense-unit summaries (kilobytes), not data (gigabytes).
 //
-// File format (version 5, little-endian PODs):
+// File format (version 6, little-endian PODs):
 //   [0..7]   magic "MAFIACKP"
 //   [8..11]  uint32 format version
 //   [12..15] uint32 CRC-32 of the payload
 //   [16.. ]  payload: fingerprint, data shape, loop state (including the
 //            pending join-stats carried into the next level trace), grids,
 //            unit stores, level traces, registered maximal units,
-//            populate kernel counters, join-kernel counters, and — when the
+//            populate sweep counters, join-kernel counters, and — when the
 //            `complete` flag is set — the append-base sections: attribute
 //            domains, the global fine histogram, one AppendLevelMemo per
 //            executed level (candidate units, counts, dense flags), and
@@ -27,7 +27,9 @@
 // added the `complete` flag and the append-base sections behind it;
 // version 5 dropped the join artifacts — parent links, dedup map, pending
 // join counters — from each AppendLevelMemo, since an append run always
-// re-runs the join.  Older files are discarded by the version check: a
+// re-runs the join; version 6 dropped the per-level populate kernel id and
+// the lookup-sweep subspace counters, since one sweep counts every row
+// source.  Older files are discarded by the version check: a
 // resume restarts from level 1, and an append refuses a base it cannot
 // read.)
 //
@@ -72,7 +74,7 @@
 
 namespace mafia {
 
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// One data file a checkpointed run consumed, in concatenation order —
 /// `pmafia append` reloads the segments to reconstruct the base data.

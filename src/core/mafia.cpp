@@ -1,6 +1,7 @@
 #include "core/mafia.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <optional>
 
@@ -360,13 +361,15 @@ class MafiaWorker {
       // ---- Populate candidates (data parallel): each rank scans its N/p
       // records in B-record chunks, then Reduce globalizes the counts.
       UnitPopulator populator(grids_, cdus, opt_.populate);
-      // The populator's lookups and bitmap block join the budget.  They
-      // follow from the replicated CDU store alone, so the collective guard
-      // throws on every rank or none, whichever row source each rank uses.
-      check_budget(level, "populate lookups and bitmap block",
-                   populator.auxiliary_bytes());
+      // The populator's bitmap ids and block join the budget.  They follow
+      // from the replicated CDU store alone, so the collective guard throws
+      // on every rank or none, whichever row source each rank uses.
+      check_budget(level, "populate bitmap block", populator.auxiliary_bytes());
       std::uint8_t populate_source = kPopulateSourceRecords;
       std::size_t populate_rows = 0;
+      // Encloses the phase scope, so a rank's per-level seconds sum to at
+      // least its populate phase.
+      const Timer populate_clock;
       {
         PhaseTracer::Scope sp(tracer_, "populate");
         // The first level >= 2 that needs the full partition builds the
@@ -393,6 +396,7 @@ class MafiaWorker {
         // so they must enter the sum exactly once, not once per rank.
         if (base != nullptr) populator.seed_counts(base->counts);
       }
+      const double populate_seconds = populate_clock.seconds();
       if (opt_.append) {
         ++(base != nullptr ? append_stats_.levels_reused
                            : append_stats_.levels_rerun);
@@ -444,11 +448,12 @@ class MafiaWorker {
         t.join_probes = pending_join.probes;
         t.join_emitted = pending_join.emitted;
         t.join_repeats_fused = pending_join.repeats_fused;
-        t.populate_kernel = populate_kernel_for(populate_source, level);
         t.bitmap_bytes = populator.kernel_stats().bitmap_bytes;
         t.bitmap_words_anded = populator.kernel_stats().bitmap_words_anded;
-        t.populate_source = populate_source;  // rank-local until the ledger
-        t.populate_rows = populate_rows;      // exchange at the end of run()
+        // Rank-local until the ledger exchange at the end of run().
+        t.populate_source = populate_source;
+        t.populate_rows = populate_rows;
+        t.populate_seconds = populate_seconds;
         trace_.push_back(std::move(t));
       }
       if (pending_join_kernel != 0) {
@@ -694,8 +699,8 @@ class MafiaWorker {
   }
 
   /// This rank's populate ledger for the end-of-run exchange: its table
-  /// stats, then (source, rows swept) per level.  Same length on every
-  /// rank, since the level count is replicated.
+  /// stats, then (source, rows swept, seconds as bits) per level.  Same
+  /// length on every rank, since the level count is replicated.
   [[nodiscard]] std::vector<std::uint64_t> populate_ledger() const {
     std::vector<std::uint64_t> w{table_stats_.table_built_level,
                                  table_stats_.table_rows_max,
@@ -704,18 +709,20 @@ class MafiaWorker {
     for (const LevelTrace& t : trace_) {
       w.push_back(t.populate_source);
       w.push_back(t.populate_rows);
+      w.push_back(std::bit_cast<std::uint64_t>(t.populate_seconds));
     }
     return w;
   }
 
   /// Parent only: folds every rank's ledger (rank-major, `width` words
-  /// each) into the run's populate stats and level trace.  A level's
-  /// kernel follows its reconciled row source.
+  /// each) into the run's populate stats and level trace: rows sum over
+  /// ranks, seconds take the slowest rank.
   void apply_populate_ledgers(const std::vector<std::uint64_t>& all,
                               std::size_t width) {
-    for (std::size_t i = 0; i < trace_.size(); ++i) {
-      trace_[i].populate_source = kPopulateSourceTable;
-      trace_[i].populate_rows = 0;
+    for (LevelTrace& t : trace_) {
+      t.populate_source = kPopulateSourceTable;
+      t.populate_rows = 0;
+      t.populate_seconds = 0.0;
     }
     for (std::size_t at = 0; at + width <= all.size(); at += width) {
       PopulateKernelStats rank;
@@ -726,14 +733,14 @@ class MafiaWorker {
       populate_stats_.merge(rank);
       for (std::size_t i = 0; i < trace_.size(); ++i) {
         LevelTrace& t = trace_[i];
-        if (all[at + 4 + 2 * i] != kPopulateSourceTable) {
+        const std::uint64_t* level = all.data() + at + 4 + 3 * i;
+        if (level[0] != kPopulateSourceTable) {
           t.populate_source = kPopulateSourceRecords;
         }
-        t.populate_rows += all[at + 5 + 2 * i];
+        t.populate_rows += level[1];
+        t.populate_seconds =
+            std::max(t.populate_seconds, std::bit_cast<double>(level[2]));
       }
-    }
-    for (LevelTrace& t : trace_) {
-      t.populate_kernel = populate_kernel_for(t.populate_source, t.level);
     }
   }
 

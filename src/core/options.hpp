@@ -135,11 +135,8 @@ struct MafiaOptions {
   /// buffer).
   std::size_t chunk_records = 1 << 16;
 
-  /// Populate tuning: the block size of both sweeps and the hash-lookup
-  /// threshold.  The row source picks the sweep — streamed records count
-  /// through the bitmap sweep, a transaction table through the packed
-  /// lookups (memcmp rows past k = 8) — and the report's populate_kernel
-  /// object says which ran.
+  /// Populate tuning: the block size of the one sweep that counts both
+  /// streamed records and a transaction table.
   PopulateConfig populate;
 
   /// tau: below this many units, task-parallel phases degenerate to every

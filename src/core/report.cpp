@@ -75,32 +75,24 @@ std::string render_report(const MafiaResult& result) {
   os << "  " << std::setw(3) << "k" << std::setw(12) << "raw CDUs"
      << std::setw(14) << "unique CDUs" << std::setw(14) << "dense units"
      << std::setw(14) << "join probes" << std::setw(14) << "join buckets"
-     << std::setw(10) << "unjoined" << std::setw(9) << "kernel"
+     << std::setw(10) << "unjoined" << std::setw(13) << "populate s"
      << "\n";
   for (const LevelTrace& t : result.levels) {
     os << "  " << std::setw(3) << t.level << std::setw(12) << t.ncdu_raw
        << std::setw(14) << t.ncdu << std::setw(14) << t.ndu << std::setw(14)
        << t.join_probes << std::setw(14) << t.join_buckets << std::setw(10)
-       << t.unjoined_dus << std::setw(9) << populate_kernel_name(t.populate_kernel)
-       << "\n";
+       << t.unjoined_dus << std::setw(13) << t.populate_seconds << "\n";
   }
   if (result.total_unjoined_dus() > 0) {
     os << "  unjoined dense units (could not be combined): "
        << result.total_unjoined_dus() << " over the run\n";
   }
 
-  os << "\npopulate kernel (subspaces over all levels): packed-sorted "
-     << result.populate_kernel.packed_sorted_subspaces << ", packed-hash "
-     << result.populate_kernel.packed_hash_subspaces << ", memcmp "
-     << result.populate_kernel.memcmp_subspaces << ", bitmap "
-     << result.populate_kernel.bitmap_subspaces << ", block "
-     << result.populate_kernel.block_records << " records";
-  if (result.populate_kernel.bitmap_subspaces > 0) {
-    os << "; bitmap index peak " << result.populate_kernel.bitmap_bytes
-       << " bytes, " << result.populate_kernel.bitmap_words_anded
-       << " words ANDed";
-  }
-  os << "\n";
+  const PopulateKernelStats& pk = result.populate_kernel;
+  os << "\npopulate sweep (over all levels): " << pk.bitmap_subspaces
+     << " subspaces, block " << pk.block_records << " records, bitmap index peak "
+     << pk.bitmap_bytes << " bytes, " << pk.bitmap_words_anded
+     << " words ANDed\n";
   // Row source and rows swept (over all ranks) per level, then the
   // transaction-table ledger.
   os << "populate rows:";
@@ -109,7 +101,6 @@ std::string render_report(const MafiaResult& result) {
     os << (i == 0 ? " k" : ", k") << t.level << " "
        << populate_source_name(t.populate_source) << " " << t.populate_rows;
   }
-  const PopulateKernelStats& pk = result.populate_kernel;
   if (pk.table_built_level > 0) {
     os << "; tables keyed at level " << pk.table_built_level << ", max "
        << pk.table_rows_max << " rows / " << pk.table_bytes_max
@@ -235,11 +226,11 @@ std::string render_report_json(const MafiaResult& result,
     w.key("join_probes").value(t.join_probes);
     w.key("join_emitted").value(t.join_emitted);
     w.key("join_repeats_fused").value(t.join_repeats_fused);
-    w.key("populate_kernel").value(populate_kernel_name(t.populate_kernel));
     w.key("bitmap_bytes").value(t.bitmap_bytes);
     w.key("bitmap_words_anded").value(t.bitmap_words_anded);
     w.key("populate_source").value(populate_source_name(t.populate_source));
     w.key("populate_rows").value(t.populate_rows);
+    w.key("populate_seconds").value(t.populate_seconds);
     // gpumafia's find_unjoined_dus: the level's dense units no join could
     // combine (count exact; the list capped at kMaxUnjoinedListed).
     w.key("unjoined_dus").value(t.unjoined_dus);
@@ -250,13 +241,11 @@ std::string render_report_json(const MafiaResult& result,
   }
   w.end_array();
 
-  // Which populate kernels the run selected (per-subspace, summed over
-  // levels) and the block size of the subspace-major sweep — so a recorded
-  // populate-phase time is attributable to a concrete kernel configuration.
+  // What the populate sweep counted (subspaces summed over levels), its
+  // block size, footprint and AND work, and the transaction-table ledger —
+  // so a recorded populate-phase time is attributable to a concrete
+  // configuration.
   w.key("populate_kernel").begin_object();
-  w.key("packed_sorted_subspaces").value(result.populate_kernel.packed_sorted_subspaces);
-  w.key("packed_hash_subspaces").value(result.populate_kernel.packed_hash_subspaces);
-  w.key("memcmp_subspaces").value(result.populate_kernel.memcmp_subspaces);
   w.key("bitmap_subspaces").value(result.populate_kernel.bitmap_subspaces);
   w.key("block_records").value(result.populate_kernel.block_records);
   w.key("bitmap_bytes").value(result.populate_kernel.bitmap_bytes);

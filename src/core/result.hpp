@@ -24,28 +24,9 @@ namespace mafia {
 /// (the count is always exact; the list is a diagnostic sample).
 inline constexpr std::size_t kMaxUnjoinedListed = 32;
 
-/// Report name of a LevelTrace::populate_kernel id (the kPopulateKernel*
-/// ids of units/populate.hpp).
-[[nodiscard]] inline const char* populate_kernel_name(std::uint8_t id) {
-  switch (id) {
-    case kPopulateKernelMemcmp: return "memcmp";
-    case kPopulateKernelBitmap: return "bitmap";
-    default: return "packed";
-  }
-}
-
 /// Per-level populate row sources recorded in LevelTrace::populate_source.
 inline constexpr std::uint8_t kPopulateSourceRecords = 0;
 inline constexpr std::uint8_t kPopulateSourceTable = 1;
-
-/// The sweep a level's populate ran on, from its row source and unit
-/// dimensionality k: records stream through the bitmap sweep, a table
-/// through the packed lookups, or the memcmp rows past kPackedKeyMaxDims.
-[[nodiscard]] inline std::uint8_t populate_kernel_for(std::uint8_t source,
-                                                      std::size_t k) {
-  if (source != kPopulateSourceTable) return kPopulateKernelBitmap;
-  return k <= kPackedKeyMaxDims ? kPopulateKernelPacked : kPopulateKernelMemcmp;
-}
 
 /// Report name of a LevelTrace::populate_source id.
 [[nodiscard]] inline const char* populate_source_name(std::uint8_t id) {
@@ -71,21 +52,20 @@ struct LevelTrace {
   std::uint64_t join_probes = 0;
   std::uint64_t join_emitted = 0;
   std::uint64_t join_repeats_fused = 0;
-  /// Sweep the level's populate ran on (kPopulateKernel*), derived from
-  /// populate_source and k by populate_kernel_for: bitmap when any rank
-  /// streamed records, otherwise packed, or memcmp past k = 8.
-  std::uint8_t populate_kernel = kPopulateKernelPacked;
-  /// The parent rank's bitmap-sweep footprint and AND-reduction work for
-  /// this level (zero when that rank swept its table).
+  /// The parent rank's populate-sweep footprint and AND-reduction work for
+  /// this level, whichever row source it swept.
   std::uint64_t bitmap_bytes = 0;
   std::uint64_t bitmap_words_anded = 0;
   /// What the level's populate swept, summed over ranks at the end of the
   /// run: kPopulateSourceTable when every rank swept its transaction table,
   /// kPopulateSourceRecords when any rank streamed records; populate_rows
-  /// is the rows swept (records, or distinct table rows).  A level restored
-  /// from a checkpoint was not swept by this run: records, 0 rows.
+  /// is the rows swept (records, or distinct table rows); populate_seconds
+  /// is the slowest rank's populate phase for the level (table build,
+  /// sweep and allreduce).  A level restored from a checkpoint was not
+  /// swept by this run: records, 0 rows, 0 seconds.
   std::uint8_t populate_source = kPopulateSourceRecords;
   std::uint64_t populate_rows = 0;
+  double populate_seconds = 0.0;
   /// gpumafia's find_unjoined_dus, per level: dense units of this level
   /// that combined into no candidate of the next level (globalized — a
   /// unit counts only if no rank's join range paired it).  On the run's
@@ -159,10 +139,10 @@ struct MafiaResult {
   /// from every rank at the end of the run.
   RunTrace trace;
 
-  /// Populate-kernel selection, accumulated over all levels: how many
-  /// subspaces ran on the packed sorted / packed hash / memcmp kernels and
-  /// the block size the sweep used.  Identical on every rank (the CDU sets
-  /// are globally replicated).
+  /// Populate sweep stats, accumulated over all levels: how many subspaces
+  /// the sweep counted, its block size, footprint and AND work, and the
+  /// transaction-table ledger.  The subspace count is identical on every
+  /// rank (the CDU sets are globally replicated).
   PopulateKernelStats populate_kernel;
 
   /// Join-kernel selection and work counters, accumulated over all levels:

@@ -6,7 +6,9 @@ namespace mafia {
 
 namespace {
 
-constexpr std::uint32_t kWorkerResultVersion = 4;  // v4: io stats lose wait
+// v4: io stats lose wait; v5: levels lose the kernel id and gain populate
+// seconds, the populate stats lose the lookup counters.
+constexpr std::uint32_t kWorkerResultVersion = 5;
 
 }  // namespace
 
@@ -68,7 +70,6 @@ void write_level_trace(ByteWriter& w, const LevelTrace& t) {
   w.pod(t.join_probes);
   w.pod(t.join_emitted);
   w.pod(t.join_repeats_fused);
-  w.pod(t.populate_kernel);
   w.pod(t.bitmap_bytes);
   w.pod(t.bitmap_words_anded);
   w.pod(t.unjoined_dus);
@@ -87,7 +88,6 @@ LevelTrace read_level_trace(ByteReader& r) {
   t.join_probes = r.pod<std::uint64_t>();
   t.join_emitted = r.pod<std::uint64_t>();
   t.join_repeats_fused = r.pod<std::uint64_t>();
-  t.populate_kernel = r.pod<std::uint8_t>();
   t.bitmap_bytes = r.pod<std::uint64_t>();
   t.bitmap_words_anded = r.pod<std::uint64_t>();
   t.unjoined_dus = r.pod<std::uint64_t>();
@@ -173,6 +173,7 @@ std::vector<std::uint8_t> serialize_worker_result(const WorkerResult& wr) {
   for (const LevelTrace& t : wr.levels) {
     w.pod(t.populate_source);
     w.pod(t.populate_rows);
+    w.pod(t.populate_seconds);
   }
   w.pod(static_cast<std::uint64_t>(wr.registered.size()));
   for (const UnitStore& store : wr.registered) write_store(w, store);
@@ -185,9 +186,6 @@ std::vector<std::uint8_t> serialize_worker_result(const WorkerResult& wr) {
     w.str(name);
     w.pod(secs);
   }
-  w.pod(static_cast<std::uint64_t>(wr.populate.packed_sorted_subspaces));
-  w.pod(static_cast<std::uint64_t>(wr.populate.packed_hash_subspaces));
-  w.pod(static_cast<std::uint64_t>(wr.populate.memcmp_subspaces));
   w.pod(static_cast<std::uint64_t>(wr.populate.bitmap_subspaces));
   w.pod(static_cast<std::uint64_t>(wr.populate.block_records));
   w.pod(static_cast<std::uint64_t>(wr.populate.bitmap_bytes));
@@ -233,6 +231,7 @@ WorkerResult deserialize_worker_result(const std::uint8_t* data,
     for (LevelTrace& t : wr.levels) {
       t.populate_source = r.pod<std::uint8_t>();
       t.populate_rows = r.pod<std::uint64_t>();
+      t.populate_seconds = r.pod<double>();
     }
     const auto nregistered = r.pod<std::uint64_t>();
     require_input(nregistered <= 1u << 16,
@@ -261,12 +260,6 @@ WorkerResult deserialize_worker_result(const std::uint8_t* data,
       std::string name = r.str();
       wr.trace.max_phases.add(name, r.pod<double>());
     }
-    wr.populate.packed_sorted_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    wr.populate.packed_hash_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    wr.populate.memcmp_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
     wr.populate.bitmap_subspaces =
         static_cast<std::size_t>(r.pod<std::uint64_t>());
     wr.populate.block_records =

@@ -4,11 +4,8 @@
 #include <bit>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <numeric>
-#include <type_traits>
 
-#include "common/math_util.hpp"
 #include "units/transaction_table.hpp"
 
 #if defined(__x86_64__) && !defined(PMAFIA_DISABLE_SIMD)
@@ -19,42 +16,12 @@
 
 namespace mafia {
 
-// Row-layout contract for the memcmp-based sort and search (the k > 8
-// fallback): a unit's bin tuple is k_ contiguous BinId elements, so a row
-// occupies exactly k_ * sizeof(BinId) bytes with no padding, and byte-wise
-// comparison yields a consistent total order between the sort and the
-// search (for multi-byte BinId it is not the numeric tuple order, which is
-// fine — only consistency and equality matter here).  The packed kernels
-// additionally require sizeof(BinId) == 1 (asserted next to pack_bin_key);
-// a wider BinId falls back to this memcmp path at compile time.
-static_assert(std::is_trivially_copyable_v<BinId> &&
-                  std::has_unique_object_representations_v<BinId>,
-              "UnitPopulator compares bin rows with memcmp; BinId must have "
-              "no padding bits");
-
-// The bitmap sweep indexes its (dim, bin) map as dim * kMaxBinsPerDim + bin
-// and compares bin columns a byte at a time, so a BinId is one byte.
+// The sweep indexes its (dim, bin) map as dim * kMaxBinsPerDim + bin and
+// compares bin columns a byte at a time, so a BinId is one byte.
 static_assert(sizeof(BinId) == 1 && kMaxBinsPerDim == 256,
               "bitmap sweep assumes byte-wide bin ids");
 
 namespace {
-
-/// Empty-slot sentinel of the open-addressing tables.
-constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-
-/// Branchless lower bound over a sorted uint64 array: the comparison feeds
-/// a conditional add instead of a branch, so the search pipeline never
-/// stalls on the data-dependent direction the memcmp path branches on.
-inline std::size_t lower_bound_u64(const std::uint64_t* a, std::size_t n,
-                                   std::uint64_t key) {
-  std::size_t base = 0;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base += (a[base + half - 1] < key) ? half : 0;
-    n -= half;
-  }
-  return base + (n == 1 && a[base] < key ? 1 : 0);
-}
 
 // ------------------------------------------- bitset formation by compare
 //
@@ -115,7 +82,8 @@ FormBitsetsFn resolve_form_bitsets() {
 
 // ------------------------------------------------ bitmap AND + popcount
 //
-// popcount(bm[0][w] & ... & bm[k-1][w]) summed over the words [0, words).  The portable path is the semantic definition; the SIMD paths
+// popcount(bm[0][w] & ... & bm[k-1][w]) summed over the words [0, words).
+// The portable path is the semantic definition; the SIMD paths
 // widen the AND to 256 bits (AVX2) or 128 bits (NEON) and must produce
 // identical sums.  Building with PMAFIA_DISABLE_SIMD compiles only the
 // portable path (the sanitizer CI leg exercises it on every host).
@@ -196,23 +164,38 @@ AndPopcountFn resolve_and_popcount() {
   return &and_popcount_portable;
 }
 
+/// The weighted form of the reduction, for table rows: the sum of
+/// weights[64 * w + i] over every bit i set in bm[0][w] & ... & bm[k-1][w].
+/// Bits past the block's last row are masked off, so no weight past it is
+/// read.
+Count and_weighted(BitmapPtrs bm, std::size_t k, std::size_t words,
+                   const Count* weights) {
+  Count c = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t x = bm[0][w];
+    for (std::size_t i = 1; i < k; ++i) x &= bm[i][w];
+    for (const Count* row = weights + 64 * w; x != 0; x &= x - 1) {
+      c += row[std::countr_zero(x)];
+    }
+  }
+  return c;
+}
+
 }  // namespace
 
 UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
                              const PopulateConfig& config)
     : grids_(grids),
       k_(cdus.k()),
-      packed_(cdus.k() <= kPackedKeyMaxDims),
       cfg_(config),
       counts_(cdus.size(), 0),
-      key_scratch_(cdus.k()),
       block_words_((config.block_records + 63) / 64) {
   require(cfg_.block_records >= 1, "UnitPopulator: block_records must be positive");
   stats_.block_records = cfg_.block_records;
 
   // One bitset id per distinct (dim, bin) pair some CDU uses, numbered
   // dim-major so each used dim's bitsets are formed from its column in one
-  // contiguous run; a CDU's block count is then the popcount of the AND of
+  // contiguous run; a CDU's block count is then the reduction of the AND of
   // its k bitsets.
   constexpr std::uint32_t kUnused = 0xffffffffu;
   std::vector<std::uint32_t> bitmap_id(grids.num_dims() * kMaxBinsPerDim,
@@ -241,68 +224,29 @@ UnitPopulator::UnitPopulator(const GridSet& grids, const UnitStore& cdus,
   bitsets_.resize(item_bins_.size() * block_words_);
   cols_.resize(used_dims_.size() * block_words_ * 64);
 
-  // Group CDU indices by dimension set.
-  std::map<std::vector<DimId>, std::vector<std::uint32_t>> by_subspace;
-  for (std::size_t u = 0; u < cdus.size(); ++u) {
-    const auto d = cdus.dims(u);
-    std::vector<DimId> key(d.begin(), d.end());
-    by_subspace[std::move(key)].push_back(static_cast<std::uint32_t>(u));
-  }
-
-  subspaces_.reserve(by_subspace.size());
-  for (auto& [dims, members] : by_subspace) {
-    Subspace sub;
-    sub.dims = dims;
-
-    // Lex-sort the member CDUs by their bin rows so a lookup is a search
-    // over contiguous rows; for the packed lookups ascending key order is
-    // the same order (pack_bin_key is byte-lexicographic).
-    std::sort(members.begin(), members.end(),
-              [&cdus, this](std::uint32_t a, std::uint32_t b) {
-                return std::memcmp(cdus.bins(a).data(), cdus.bins(b).data(),
-                                   k_ * sizeof(BinId)) < 0;
-              });
-    sub.cdu_index = members;
-
-    sub.bitmap_ids.reserve(members.size() * k_);
-    for (const std::uint32_t u : members) {
-      const auto bins = cdus.bins(u);
-      for (std::size_t i = 0; i < k_; ++i) {
-        sub.bitmap_ids.push_back(
-            bitmap_id[static_cast<std::size_t>(dims[i]) * kMaxBinsPerDim + bins[i]]);
-      }
+  // Sweep the CDUs in (dims, bins) order: consecutive CDUs then share
+  // their leading bitsets, which stay hot in L1, and each subspace is one
+  // run of the order.
+  order_.resize(cdus.size());
+  std::iota(order_.begin(), order_.end(), 0u);
+  const auto row_less = [&cdus, this](std::uint32_t a, std::uint32_t b) {
+    const int by_dims = std::memcmp(cdus.dims(a).data(), cdus.dims(b).data(), k_);
+    return by_dims != 0 ? by_dims < 0
+                        : std::memcmp(cdus.bins(a).data(), cdus.bins(b).data(), k_) < 0;
+  };
+  std::sort(order_.begin(), order_.end(), row_less);
+  bitmap_ids_.reserve(cdus.size() * k_);
+  for (std::size_t m = 0; m < order_.size(); ++m) {
+    const auto d = cdus.dims(order_[m]);
+    const auto b = cdus.bins(order_[m]);
+    for (std::size_t i = 0; i < k_; ++i) {
+      bitmap_ids_.push_back(
+          bitmap_id[static_cast<std::size_t>(d[i]) * kMaxBinsPerDim + b[i]]);
     }
-
-    if (packed_) {
-      sub.keys.reserve(members.size());
-      for (const std::uint32_t u : members) {
-        sub.keys.push_back(pack_bin_key(cdus.bins(u).data(), k_));
-      }
-      if (members.size() >= cfg_.hash_min_cdus) {
-        // Open-addressing table at <= 50% load (see hash_table_capacity),
-        // mapping each distinct key to the first row of its equal run in
-        // the sorted key array.
-        const std::size_t cap = hash_table_capacity(members.size());
-        sub.slots.assign(cap, kEmptySlot);
-        sub.slot_mask = cap - 1;
-        for (std::size_t i = members.size(); i-- > 0;) {
-          std::uint64_t h = mix64(sub.keys[i]) & sub.slot_mask;
-          while (sub.slots[h] != kEmptySlot &&
-                 sub.keys[sub.slots[h]] != sub.keys[i]) {
-            h = (h + 1) & sub.slot_mask;
-          }
-          sub.slots[h] = static_cast<std::uint32_t>(i);
-        }
-      }
-    } else {
-      sub.sorted_bins.reserve(members.size() * k_);
-      for (const std::uint32_t u : members) {
-        const auto b = cdus.bins(u);
-        sub.sorted_bins.insert(sub.sorted_bins.end(), b.begin(), b.end());
-      }
-    }
-    subspaces_.push_back(std::move(sub));
+    stats_.bitmap_subspaces +=
+        m == 0 || std::memcmp(cdus.dims(order_[m - 1]).data(), d.data(), k_) != 0;
   }
+  stats_.bitmap_bytes = bitmap_block_bytes();
 }
 
 std::size_t UnitPopulator::bitmap_block_bytes() const {
@@ -312,32 +256,16 @@ std::size_t UnitPopulator::bitmap_block_bytes() const {
 }
 
 std::size_t UnitPopulator::auxiliary_bytes() const {
-  std::size_t bytes = bitmap_block_bytes();
-  for (const Subspace& sub : subspaces_) {
-    bytes += sub.cdu_index.size() * sizeof(std::uint32_t) +
-             sub.keys.size() * sizeof(std::uint64_t) +
-             sub.slots.size() * sizeof(std::uint32_t) +
-             sub.sorted_bins.size() * sizeof(BinId) +
-             sub.bitmap_ids.size() * sizeof(std::uint32_t);
-  }
-  return bytes;
+  return bitmap_block_bytes() +
+         (order_.size() + bitmap_ids_.size()) * sizeof(std::uint32_t);
 }
 
 void UnitPopulator::accumulate(const Value* rows, std::size_t nrows) {
-  static const FormBitsetsFn form_bitsets = resolve_form_bitsets();
-  static const AndPopcountFn and_popcount = resolve_and_popcount();
   const std::size_t d = grids_.num_dims();
-  const std::size_t block = cfg_.block_records;
   const std::size_t nused = used_dims_.size();
   const std::size_t col_stride = block_words_ * 64;
-  stats_.bitmap_subspaces = subspaces_.size();
-  stats_.bitmap_bytes = bitmap_block_bytes();
-
-  std::vector<const std::uint64_t*> ptrs(k_);
-  for (std::size_t base = 0; base < nrows; base += block) {
-    const std::size_t bn = std::min(block, nrows - base);
-    const std::size_t words = (bn + 63) / 64;
-
+  for (std::size_t base = 0; base < nrows; base += cfg_.block_records) {
+    const std::size_t bn = std::min(cfg_.block_records, nrows - base);
     // Bin: each record once, record-major, into the used dims' columns.
     const Value* row = rows + base * d;
     for (std::size_t r = 0; r < bn; ++r, row += d) {
@@ -346,65 +274,58 @@ void UnitPopulator::accumulate(const Value* rows, std::size_t nrows) {
         *col = locators_[i].locate(row[used_dims_[i]]);
       }
     }
-
-    // Form: each used (dim, bin) bitset from its dim's column.  Column
-    // bytes past the block's last record are stale, so the partial last
-    // word is masked.
-    for (std::size_t i = 0; i < nused; ++i) {
-      const std::uint32_t first = dim_first_id_[i];
-      form_bitsets(cols_.data() + i * col_stride, item_bins_.data() + first,
-                   dim_first_id_[i + 1] - first,
-                   bitsets_.data() + first * block_words_, block_words_, words);
-    }
-    if (bn % 64 != 0) {
-      const std::uint64_t mask = (std::uint64_t{1} << (bn % 64)) - 1;
-      for (std::size_t t = 0; t < item_bins_.size(); ++t) {
-        bitsets_[t * block_words_ + words - 1] &= mask;
-      }
-    }
-
-    // Count: AND each CDU's k bitsets over the block's words.
-    for (const Subspace& sub : subspaces_) {
-      for (std::size_t m = 0; m < sub.cdu_index.size(); ++m) {
-        const std::uint32_t* ids = sub.bitmap_ids.data() + m * k_;
-        for (std::size_t i = 0; i < k_; ++i) {
-          ptrs[i] = bitsets_.data() + ids[i] * block_words_;
-        }
-        counts_[sub.cdu_index[m]] += and_popcount(ptrs.data(), k_, words);
-      }
-      stats_.bitmap_words_anded += sub.cdu_index.size() * words * k_;
-    }
+    count_block(bn, nullptr);
   }
 }
 
 void UnitPopulator::accumulate(const TransactionTable& table) {
-  const std::size_t hashed = static_cast<std::size_t>(
-      std::count_if(subspaces_.begin(), subspaces_.end(),
-                    [](const Subspace& sub) { return !sub.slots.empty(); }));
-  if (packed_) {
-    stats_.packed_hash_subspaces = hashed;
-    stats_.packed_sorted_subspaces = subspaces_.size() - hashed;
-  } else {
-    stats_.memcmp_subspaces = subspaces_.size();
-  }
-
   const std::size_t n = table.rows();
-  const std::size_t block = cfg_.block_records;
-  // Subspace-major within each block: the k columns a subspace reads and
-  // its lookup structure stay cache-resident across the block.
-  for (std::size_t base = 0; base < n; base += block) {
-    const ColumnBlock b{table.columns() + base, n, std::min(block, n - base),
-                        table.weights() + base};
-    for (const Subspace& sub : subspaces_) {
-      if (!packed_) {
-        sweep_memcmp(sub, b);
-      } else if (!sub.slots.empty()) {
-        sweep_packed_hash(sub, b);
-      } else {
-        sweep_packed_sorted(sub, b);
-      }
+  const std::size_t col_stride = block_words_ * 64;
+  for (std::size_t base = 0; base < n; base += cfg_.block_records) {
+    const std::size_t bn = std::min(cfg_.block_records, n - base);
+    // The table is binned already: copy the block's slice of each used
+    // dim's column.
+    for (std::size_t i = 0; i < used_dims_.size(); ++i) {
+      std::memcpy(cols_.data() + i * col_stride,
+                  table.columns() + used_dims_[i] * n + base, bn);
+    }
+    count_block(bn, table.weights() + base);
+  }
+}
+
+void UnitPopulator::count_block(std::size_t bn, const Count* weights) {
+  static const FormBitsetsFn form_bitsets = resolve_form_bitsets();
+  static const AndPopcountFn and_popcount = resolve_and_popcount();
+  const std::size_t words = (bn + 63) / 64;
+
+  // Form: each used (dim, bin) bitset from its dim's column.  Column bytes
+  // past the block's last row are stale, so the partial last word is
+  // masked.
+  for (std::size_t i = 0; i < used_dims_.size(); ++i) {
+    const std::uint32_t first = dim_first_id_[i];
+    form_bitsets(cols_.data() + i * block_words_ * 64,
+                 item_bins_.data() + first, dim_first_id_[i + 1] - first,
+                 bitsets_.data() + first * block_words_, block_words_, words);
+  }
+  if (bn % 64 != 0) {
+    const std::uint64_t mask = (std::uint64_t{1} << (bn % 64)) - 1;
+    for (std::size_t t = 0; t < item_bins_.size(); ++t) {
+      bitsets_[t * block_words_ + words - 1] &= mask;
     }
   }
+
+  // Count: AND each CDU's k bitsets over the block's words.
+  const std::uint64_t* ptrs[kMaxDims];
+  for (std::size_t m = 0; m < order_.size(); ++m) {
+    const std::uint32_t* ids = bitmap_ids_.data() + m * k_;
+    for (std::size_t i = 0; i < k_; ++i) {
+      ptrs[i] = bitsets_.data() + ids[i] * block_words_;
+    }
+    counts_[order_[m]] += weights == nullptr
+                              ? and_popcount(ptrs, k_, words)
+                              : and_weighted(ptrs, k_, words, weights);
+  }
+  stats_.bitmap_words_anded += counts_.size() * words * k_;
 }
 
 void UnitPopulator::seed_counts(std::span<const Count> base) {
@@ -416,89 +337,6 @@ void UnitPopulator::seed_counts(std::span<const Count> base) {
                   ErrorClass::Internal);
     }
     counts_[i] += base[i];
-  }
-}
-
-// The sweeps copy the block's fields into locals: stride and rows share
-// Count's type, so reading them through `b` would make the compiler reload
-// them after every count increment.
-
-void UnitPopulator::sweep_packed_sorted(const Subspace& sub,
-                                        const ColumnBlock& b) {
-  const auto [cols, stride, n, weights] = b;
-  const DimId* dims = sub.dims.data();
-  const std::uint64_t* keys = sub.keys.data();
-  const std::size_t m = sub.keys.size();
-  for (std::size_t r = 0; r < n; ++r) {
-    std::uint64_t key = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      key = (key << 8) | cols[dims[i] * stride + r];
-    }
-    const Count w = weights[r];
-    for (std::size_t pos = lower_bound_u64(keys, m, key);
-         pos < m && keys[pos] == key; ++pos) {
-      counts_[sub.cdu_index[pos]] += w;
-    }
-  }
-}
-
-void UnitPopulator::sweep_packed_hash(const Subspace& sub,
-                                      const ColumnBlock& b) {
-  const auto [cols, stride, n, weights] = b;
-  const DimId* dims = sub.dims.data();
-  const std::uint64_t* keys = sub.keys.data();
-  const std::size_t m = sub.keys.size();
-  for (std::size_t r = 0; r < n; ++r) {
-    std::uint64_t key = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      key = (key << 8) | cols[dims[i] * stride + r];
-    }
-    const Count w = weights[r];
-    std::uint64_t h = mix64(key) & sub.slot_mask;
-    while (sub.slots[h] != kEmptySlot) {
-      const std::size_t first = sub.slots[h];
-      if (keys[first] == key) {
-        for (std::size_t pos = first; pos < m && keys[pos] == key; ++pos) {
-          counts_[sub.cdu_index[pos]] += w;
-        }
-        break;
-      }
-      h = (h + 1) & sub.slot_mask;
-    }
-  }
-}
-
-void UnitPopulator::sweep_memcmp(const Subspace& sub, const ColumnBlock& b) {
-  const auto [cols, stride, n, weights] = b;
-  const DimId* dims = sub.dims.data();
-  BinId* key = key_scratch_.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    // Project the record onto the subspace's dimensions.
-    for (std::size_t i = 0; i < k_; ++i) key[i] = cols[dims[i] * stride + r];
-    const Count w = weights[r];
-
-    // Binary search the projected bin tuple among the sorted CDU rows.
-    std::size_t lo = 0;
-    std::size_t hi = sub.cdu_index.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      const int cmp = std::memcmp(sub.sorted_bins.data() + mid * k_, key,
-                                  k_ * sizeof(BinId));
-      if (cmp < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    // Count every matching row (duplicate CDUs are normally removed by
-    // dedup before populating, but the counting contract holds either way:
-    // identical candidates sort adjacently).
-    while (lo < sub.cdu_index.size() &&
-           std::memcmp(sub.sorted_bins.data() + lo * k_, key,
-                       k_ * sizeof(BinId)) == 0) {
-      counts_[sub.cdu_index[lo]] += w;
-      ++lo;
-    }
   }
 }
 

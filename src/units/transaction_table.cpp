@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/math_util.hpp"
-#include "units/populate.hpp"
 
 namespace mafia {
 

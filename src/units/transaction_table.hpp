@@ -40,6 +40,18 @@ namespace mafia {
 /// partition).
 inline constexpr std::size_t kTransactionTableCapDivisor = 32;
 
+/// Open-addressing capacity of the table's index for `members` rows: the
+/// next power of two at or above twice the member count, so the index never
+/// exceeds 50% load.  The 2× headroom matters precisely at power-of-two
+/// member counts: rounding members up to a power of two with no slack would
+/// put the index at load factor 1.0, where probe chains degenerate and —
+/// with no empty slot left — the linear-probe miss loop never terminates.
+[[nodiscard]] inline std::size_t hash_table_capacity(std::size_t members) {
+  std::size_t cap = 4;
+  while (cap < members * 2) cap *= 2;
+  return cap;
+}
+
 /// The driver's table byte cap for a partition of `partition_rows` records
 /// of `num_dims` values: the partition share above, and never more than a
 /// nonzero `max_cdu_bytes`.

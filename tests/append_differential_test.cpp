@@ -324,10 +324,10 @@ TEST(AppendDifferential, AppendWithoutFinalCheckpointIsInputError) {
 }
 
 TEST(AppendDifferential, OldFormatFinalCheckpointIsRefused) {
-  // A final checkpoint from the previous format version (whose memo
-  // carried join artifacts) is discarded, not misread: restamping the
-  // version field leaves the file otherwise valid, since the CRC covers
-  // only the payload.
+  // A final checkpoint from the previous format version (whose level
+  // records carried a populate kernel id) is discarded, not misread:
+  // restamping the version field leaves the file otherwise valid, since
+  // the CRC covers only the payload.
   const Dataset base = base_data(500);
   const Dataset all = concat(base, same_shape_batch(100));
   InMemorySource base_source(base);
@@ -341,7 +341,7 @@ TEST(AppendDifferential, OldFormatFinalCheckpointIsRefused) {
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.good());
-    const std::uint32_t old_version = 4;  // memo with join artifacts
+    const std::uint32_t old_version = 5;  // levels with a kernel id
     f.seekp(8);
     f.write(reinterpret_cast<const char*>(&old_version), sizeof(old_version));
   }

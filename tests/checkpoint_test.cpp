@@ -106,7 +106,6 @@ CheckpointState sample_state() {
   l1.ncdu = 10;
   l1.ndu = 4;
   l1.count_checksum = 0x1111ull;
-  l1.populate_kernel = kPopulateKernelBitmap;
   l1.bitmap_bytes = 4096;
   l1.bitmap_words_anded = 320;
   l1.unjoined_dus = 2;
@@ -124,9 +123,6 @@ CheckpointState sample_state() {
   reg.push(d2, b2);
   state.registered.push_back(reg);
 
-  state.populate.packed_sorted_subspaces = 3;
-  state.populate.packed_hash_subspaces = 1;
-  state.populate.memcmp_subspaces = 0;
   state.populate.bitmap_subspaces = 2;
   state.populate.block_records = 2048;
   state.populate.bitmap_bytes = 4096;
@@ -188,17 +184,14 @@ TEST(CheckpointFormat, SerializeRoundTrip) {
   EXPECT_TRUE(out.grids[0].uniform_fallback);
   ASSERT_EQ(out.levels.size(), 2u);
   EXPECT_EQ(out.levels[1].count_checksum, 0x2222ull);
-  // Version-3 fields: per-level kernel id, bitmap counters, unjoined units.
-  EXPECT_EQ(out.levels[0].populate_kernel, kPopulateKernelBitmap);
+  // Version-3 fields: bitmap counters, unjoined units.
   EXPECT_EQ(out.levels[0].bitmap_bytes, 4096u);
   EXPECT_EQ(out.levels[0].bitmap_words_anded, 320u);
   EXPECT_EQ(out.levels[0].unjoined_dus, 2u);
   EXPECT_EQ(out.levels[0].unjoined_units, in.levels[0].unjoined_units);
-  EXPECT_EQ(out.levels[1].populate_kernel, kPopulateKernelPacked);
   EXPECT_TRUE(out.levels[1].unjoined_units.empty());
   ASSERT_EQ(out.registered.size(), 1u);
   EXPECT_EQ(out.registered[0].dim_bytes(), in.registered[0].dim_bytes());
-  EXPECT_EQ(out.populate.packed_sorted_subspaces, 3u);
   EXPECT_EQ(out.populate.bitmap_subspaces, 2u);
   EXPECT_EQ(out.populate.bitmap_bytes, 4096u);
   EXPECT_EQ(out.populate.bitmap_words_anded, 320u);
@@ -345,7 +338,6 @@ TEST(CheckpointFormat, FingerprintTracksResultAffectingOptionsOnly) {
   EXPECT_EQ(checkpoint_fingerprint(chunk, 4000, 6), fp);
   MafiaOptions tuning = base;
   tuning.populate.block_records = 7;
-  tuning.populate.hash_min_cdus = 1;
   EXPECT_EQ(checkpoint_fingerprint(tuning, 4000, 6), fp);
 }
 
@@ -462,15 +454,13 @@ TEST(CheckpointRestart, OptionChangeInvalidatesOldCheckpoints) {
 TEST(CheckpointRestart, ResumeMayChangeChunkSizeAndKernel)
 {
   // The fingerprint deliberately excludes result-invariant knobs; a resume
-  // with a different chunk size and populate kernel tuning — the block size
-  // of both sweeps, and the hash lookup forced on or off — still
-  // reproduces the baseline bit-identically.
+  // with a different chunk size and populate block size still reproduces
+  // the baseline bit-identically.
   const Dataset data = planted_data();
   InMemorySource source(data);
   const MafiaResult baseline = run_pmafia(source, base_options(), 2);
 
-  const PopulateConfig tunings[] = {
-      {1, 1}, {37, std::numeric_limits<std::size_t>::max()}};
+  const PopulateConfig tunings[] = {{1}, {37}};
   for (const PopulateConfig& tuning : tunings) {
     ScratchDir dir("mafia_ckpt_knobs_" + std::to_string(tuning.block_records));
     MafiaOptions faulted = base_options();
@@ -539,7 +529,7 @@ TEST(ResourceBudget, ResourceErrorNamesTheOffendingComponent) {
     FAIL() << "expected a ResourceError";
   } catch (const ResourceError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("populate lookups and bitmap block"), std::string::npos)
+    EXPECT_NE(what.find("populate bitmap block"), std::string::npos)
         << what;
     EXPECT_NE(what.find("CDU budget exceeded at level 1"), std::string::npos)
         << what;

@@ -230,10 +230,12 @@ TEST_F(CliPipeline, ReportJsonIsValidAndComplete) {
 }
 
 TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
-  // Records always count through the bitmap sweep, so level 1 runs it on
-  // every rank: the clusters come out as usual, and the report records the
-  // kernel per level (bitmap where records streamed, packed where the
-  // tables were swept), the bitmap footprint and the unjoined-DU fields.
+  // One sweep counts records and tables alike: the clusters come out as
+  // usual, and the report records per level the sweep footprint and work,
+  // the populate seconds and the unjoined-DU fields.  On this fresh
+  // multi-rank build every level was populated, so each one took time, and
+  // the per-level seconds (each the slowest rank's, timed around its phase
+  // scope) sum to at least the populate phase's cross-rank max.
   const std::string report = temp("mafia_cli_bitmap_report.json");
   ASSERT_EQ(run_cli("generate --out " + data_ +
                     " --dims 8 --records 20000 --seed 7 --cluster 1,4,6:30:45")
@@ -250,19 +252,24 @@ TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
   EXPECT_EQ(doc.at("schema").string, "pmafia-report-v1");
   const auto& levels = doc.at("levels").array;
   ASSERT_GE(levels.size(), 2u);
-  EXPECT_EQ(levels[0].at("populate_kernel").string, "bitmap");
-  EXPECT_GT(levels[0].at("bitmap_bytes").number, 0.0);
-  EXPECT_GT(levels[0].at("bitmap_words_anded").number, 0.0);
+  EXPECT_EQ(levels[0].at("populate_source").string, "records");
+  double level_seconds = 0.0;
   for (const auto& level : levels) {
-    EXPECT_EQ(level.at("populate_kernel").string,
-              level.at("populate_source").string == "records" ? "bitmap"
-                                                               : "packed");
-    EXPECT_TRUE(level.has("bitmap_bytes"));
+    EXPECT_GT(level.at("bitmap_bytes").number, 0.0);
+    EXPECT_GT(level.at("bitmap_words_anded").number, 0.0);
+    EXPECT_GT(level.at("populate_seconds").number, 0.0);
+    level_seconds += level.at("populate_seconds").number;
     EXPECT_TRUE(level.has("unjoined_dus"));
     ASSERT_TRUE(level.at("unjoined_units").is_array());
     EXPECT_LE(level.at("unjoined_units").array.size(),
               level.at("unjoined_dus").number);
   }
+  for (const auto& phase : doc.at("phases").array) {
+    if (phase.at("name").string == "populate") {
+      EXPECT_GE(level_seconds, phase.at("max_seconds").number);
+    }
+  }
+  EXPECT_FALSE(doc.at("populate_kernel").has("packed_sorted_subspaces"));
   EXPECT_GT(doc.at("populate_kernel").at("bitmap_subspaces").number, 0.0);
   EXPECT_GT(doc.at("populate_kernel").at("bitmap_bytes").number, 0.0);
   EXPECT_GT(doc.at("populate_kernel").at("bitmap_words_anded").number, 0.0);
@@ -315,8 +322,6 @@ TEST_F(CliPipeline, TransactionTableLedgerInReport) {
     for (std::size_t i = 1; i < levels.size(); ++i) {
       EXPECT_EQ(levels[i].at("populate_source").string,
                 scattered ? "records" : "table");
-      EXPECT_EQ(levels[i].at("populate_kernel").string,
-                scattered ? "bitmap" : "packed");
       if (scattered) {
         EXPECT_EQ(levels[i].at("populate_rows").number, 22000.0);
       } else {
@@ -472,8 +477,8 @@ TEST(CliErrors, ExitCodesDistinguishFailureClasses) {
 
 TEST(CliErrors, UnknownFlagsExitWithUsageCode) {
   // Every subcommand rejects a flag it does not accept — a misspelling, a
-  // flag of another subcommand, or the removed --populate-kernel — instead
-  // of ignoring it; the message names the flag.
+  // flag of another subcommand, or the removed --populate-kernel and
+  // --populate-block — instead of ignoring it; the message names the flag.
   const std::string data = temp("mafia_cli_flags.bin");
   ASSERT_EQ(run_cli("generate --out " + data + " --dims 4 --records 2000"
                     " --seed 3")
@@ -481,7 +486,8 @@ TEST(CliErrors, UnknownFlagsExitWithUsageCode) {
             0);
   for (const std::string& flag :
        {std::string("--populate-kernal bitmap"), std::string("--rnaks 9"),
-        std::string("--populate-kernel bitmap"), std::string("--listen x")}) {
+        std::string("--populate-kernel bitmap"), std::string("--listen x"),
+        std::string("--populate-block 64")}) {
     auto [status, out] = run_cli("cluster --data " + data + " " + flag);
     EXPECT_EQ(status, 2) << flag << "\n" << out;
     const std::string name = flag.substr(0, flag.find(' '));
@@ -505,6 +511,33 @@ TEST(CliErrors, UnknownFlagsExitWithUsageCode) {
   EXPECT_NE(doc.at("error").at("message").string.find("--populate-kernel"),
             std::string::npos);
   std::remove(report.c_str());
+  std::remove(data.c_str());
+}
+
+TEST(CliErrors, MalformedNumericFlagsExitWithUsageCode) {
+  // Every numeric flag parses strictly: a trailing junk suffix, a word, or
+  // a negative count is a usage error naming the flag, not a silent
+  // prefix, a silent 0 or a negative size wrapped into a huge allocation.
+  const std::string data = temp("mafia_cli_badnumber.bin");
+  ASSERT_EQ(run_cli("generate --out " + data + " --dims 4 --records 2000"
+                    " --seed 3")
+                .first,
+            0);
+  for (const std::string& flag :
+       {std::string("--ranks 2x"), std::string("--min-dims abc"),
+        std::string("--domain-lo x"), std::string("--chunk -1"),
+        std::string("--fine-bins -3")}) {
+    auto [status, out] = run_cli("cluster --data " + data + " " + flag);
+    EXPECT_EQ(status, 2) << flag << "\n" << out;
+    const std::string name = flag.substr(0, flag.find(' '));
+    EXPECT_NE(out.find(name + ": invalid value"), std::string::npos)
+        << flag << "\n" << out;
+  }
+  // The domain bounds are the numeric flags that may be negative.
+  EXPECT_EQ(run_cli("cluster --data " + data +
+                    " --domain-lo -5 --domain-hi 100")
+                .first,
+            0);
   std::remove(data.c_str());
 }
 
@@ -752,6 +785,11 @@ TEST_F(CliPipeline, ProcessBackendReportMatchesThreadsBitIdentically) {
     return flat;
   };
   EXPECT_EQ(levels_of(process_doc), levels_of(threads_doc));
+  // Timings differ across transports, but the worker-result blob carries
+  // every level's populate seconds to the parent.
+  for (const auto& level : process_doc.at("levels").array) {
+    EXPECT_GT(level.at("populate_seconds").number, 0.0);
+  }
   ASSERT_EQ(process_doc.at("clusters").array.size(),
             threads_doc.at("clusters").array.size());
   for (std::size_t i = 0; i < process_doc.at("clusters").array.size(); ++i) {

@@ -201,7 +201,7 @@ TEST(Invariance, SpmdDeterminismSweepAcrossRankCounts) {
   // Serial vs p in {2, 3, 5, 8} on randomized workloads: the dense-unit
   // sets (cluster signatures) AND the populate counts must be bit-identical
   // — the per-level count_checksum hashes the full globalized count vector,
-  // so any rank-dependent drift in the packed-key populate kernel (block
+  // so any rank-dependent drift in the populate sweep (block
   // boundaries at partition edges, partial-block sweeps on the last chunk
   // of a rank's N/p records) fails here even when the dense flags happen to
   // agree.  tau = 2 engages every task-parallel phase.
@@ -281,12 +281,9 @@ bool streamed_every_level(const MafiaResult& r) {
 }
 
 TEST(Invariance, PopulateKernelSelectionDoesNotChangeResults) {
-  // The row source picks the sweep: on invariance_data levels >= 2 sweep
-  // the table through the lookups, on split_table_data every level streams
-  // records through the bitmap sweep.  Odd block sizes and hash thresholds
-  // that force the hash lookup on and off must reproduce the default
-  // results exactly, through the full driver.
-  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+  // On invariance_data levels >= 2 sweep the table, on split_table_data
+  // every level streams records.  Odd block sizes must reproduce the
+  // default results exactly, through the full driver, for either source.
   for (const bool split : {false, true}) {
     const Dataset data = split ? split_table_data() : invariance_data();
     InMemorySource source(data);
@@ -298,22 +295,17 @@ TEST(Invariance, PopulateKernelSelectionDoesNotChangeResults) {
 
     for (const std::size_t block : {std::size_t{1}, std::size_t{37},
                                     std::size_t{4096}}) {
-      for (const std::size_t hash_min : {std::size_t{1}, kNever}) {
-        MafiaOptions options = reference;
-        options.populate.block_records = block;
-        options.populate.hash_min_cdus = hash_min;
-        const MafiaResult got = run_mafia(source, options);
-        EXPECT_EQ(signature(expect), signature(got))
+      MafiaOptions options = reference;
+      options.populate.block_records = block;
+      const MafiaResult got = run_mafia(source, options);
+      EXPECT_EQ(signature(expect), signature(got))
+          << "split=" << split << " block=" << block;
+      ASSERT_EQ(expect.levels.size(), got.levels.size());
+      for (std::size_t l = 0; l < expect.levels.size(); ++l) {
+        EXPECT_EQ(expect.levels[l].count_checksum,
+                  got.levels[l].count_checksum)
             << "split=" << split << " block=" << block
-            << " hash_min=" << hash_min;
-        ASSERT_EQ(expect.levels.size(), got.levels.size());
-        for (std::size_t l = 0; l < expect.levels.size(); ++l) {
-          EXPECT_EQ(expect.levels[l].count_checksum,
-                    got.levels[l].count_checksum)
-              << "split=" << split << " block=" << block
-              << " hash_min=" << hash_min
-              << " level=" << expect.levels[l].level;
-        }
+            << " level=" << expect.levels[l].level;
       }
     }
   }

@@ -1,17 +1,9 @@
-// Fuzz tests for CDU population: both production sweeps — the bitmap
-// sweep over records, and the lookups (packed sorted, packed hash, memcmp
-// past k = 8) over a transaction table of the same records — against the
+// Fuzz tests for CDU population: the one sweep over both row sources —
+// records, and a transaction table of the same records — against the
 // naive reference oracle (tests/populate_oracle.hpp), over randomized
-// grids, candidates, and records.
-//
-// Regression note: the populator's memcmp-based row sort/search once used a
-// length of `k` elements where bytes were required.  With BinId = uint8_t
-// the two coincide, so the fuzz suite could not catch it; the comparison
-// length is now spelled `k * sizeof(BinId)` and populate.cpp static_asserts
-// the row-layout contract (no padding bits) so a wider BinId fails to
-// compile rather than silently truncating comparisons.  These randomized
-// instances (multi-bin rows, duplicate-prefix candidates) are the tests
-// that would break first if the byte width regressed.
+// grids, candidates, and records.  populate.cpp static_asserts that a
+// BinId is one byte (the sweep compares bin columns a byte at a time), so
+// a wider BinId fails to compile rather than silently miscounting.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -85,16 +77,15 @@ TEST_P(PopulateFuzz, MatchesOracleOnRandomInstances) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PopulateFuzz,
                          ::testing::Range<std::uint64_t>(1, 25));
 
-// Packed-key path fuzz: arity mixes straddling the k = 8 fast-path
-// boundary (k in 6..10 crosses packed -> memcmp fallback), with random
-// block sizes and hash thresholds, each instance run through both row
-// sources and compared count-for-count against the oracle.
+// Wide-unit fuzz: arities k in 6..10, with random block sizes, each
+// instance run through both row sources and compared count-for-count
+// against the oracle.
 class PackedKeyFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PackedKeyFuzz, StraddlesPackedBoundaryAgainstOracle) {
   IcgRandom rng(GetParam() * 6364136223846793005ull + 1);
   const std::size_t d = 10 + uniform_index(rng, 6);  // 10..15 dims
-  const std::size_t k = 6 + uniform_index(rng, 5);   // 6..10: spans k = 8/9
+  const std::size_t k = 6 + uniform_index(rng, 5);   // 6..10
   const std::size_t ncdu = 1 + uniform_index(rng, 150);
   const std::size_t nrows = 300 + uniform_index(rng, 700);
 
@@ -113,7 +104,6 @@ TEST_P(PackedKeyFuzz, StraddlesPackedBoundaryAgainstOracle) {
   for (int round = 0; round < 3; ++round) {
     PopulateConfig cfg;
     cfg.block_records = 1 + uniform_index(rng, 512);
-    cfg.hash_min_cdus = 1 + uniform_index(rng, 2 * ncdu);
     for (const bool swept_table : {false, true}) {
       UnitPopulator pop(grids, cdus, cfg);
       if (swept_table) {

@@ -1,20 +1,18 @@
-// Oracle-differential proof of the populate sweeps.
+// Oracle-differential proof of the populate sweep.
 //
 // Both row sources are driven over the same instances as the naive
 // reference oracle (tests/populate_oracle.hpp) and must produce identical
-// counts: records through the bitmap sweep, and a transaction table built
-// from the same records through the lookups (packed/sorted, packed/hash,
-// and the memcmp rows past the k = 8 packed-key limit).  The instances
-// cover the adversarial surface explicitly — k = 1, the k = 8/9 packed-key
-// boundary, a 256-bin dimension (full BinId range), duplicate bin rows
-// across and within subspaces, records outside every CDU, block sizes
-// around the 64-bit word — plus randomized differential sweeps over
-// datagen workloads with planted subspace clusters.
+// counts: records (popcount reduction), and a transaction table built from
+// the same records (weighted reduction).  The instances cover the
+// adversarial surface explicitly — k = 1, wide units (k = 8, 9, 12), a
+// 256-bin dimension (full BinId range), duplicate bin rows across and
+// within subspaces, records outside every CDU, block sizes around the
+// 64-bit word — plus randomized differential sweeps over datagen workloads
+// with planted subspace clusters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -30,18 +28,16 @@
 namespace mafia {
 namespace {
 
-/// Block/hash configurations every differential case runs under: block
-/// sizes straddling the record counts and the 64-bit word (1 record, odd,
-/// one word, larger than the data), and hash thresholds forcing the
-/// open-addressing table on and off.
+/// Block sizes every differential case runs under, straddling the record
+/// counts and the 64-bit word (1 record, odd, one word, larger than the
+/// data).
 std::vector<PopulateConfig> config_matrix() {
-  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
   return {
-      {2048, 48},    // production defaults
-      {1, 48},       // single-record blocks
-      {3, 1},        // odd blocks, hash table always
-      {64, kNever},  // one-word blocks, sorted-array search always
-      {7, 48},
+      {2048},  // production default
+      {1},     // single-record blocks
+      {3},     // odd blocks
+      {64},    // one-word blocks
+      {7},
   };
 }
 
@@ -80,8 +76,7 @@ void expect_all_kernels_match_oracle(const GridSet& grids,
       for (std::size_t u = 0; u < expected.size(); ++u) {
         ASSERT_EQ(pop->counts()[u], expected[u])
             << "cdu " << cdus.to_string(u) << " source=" << source
-            << " block=" << cfg.block_records
-            << " hash_min=" << cfg.hash_min_cdus;
+            << " block=" << cfg.block_records;
       }
     }
   }
@@ -113,7 +108,7 @@ TEST(PopulateOracle, SingleDimensionCandidates) {
 }
 
 TEST(PopulateOracle, PackedKeyBoundaryKEight) {
-  // k = 8: the widest unit that still packs into one 64-bit key.
+  // k = 8: eight bitsets ANDed per CDU.
   IcgRandom rng(102);
   const GridSet grids = uniform_grids(12, 8);
   const UnitStore cdus = random_cdus(rng, grids, 8, 120);
@@ -121,8 +116,7 @@ TEST(PopulateOracle, PackedKeyBoundaryKEight) {
 }
 
 TEST(PopulateOracle, PackedKeyBoundaryKNine) {
-  // k = 9: one past the packed-key limit — the table sweep falls back to
-  // the memcmp rows and must agree all the same.
+  // k = 9: a unit wider than eight bytes of bin ids.
   IcgRandom rng(103);
   const GridSet grids = uniform_grids(12, 8);
   const UnitStore cdus = random_cdus(rng, grids, 9, 120);
@@ -131,8 +125,8 @@ TEST(PopulateOracle, PackedKeyBoundaryKNine) {
 
 TEST(PopulateOracle, FullBinIdRangeIn256BinDimension) {
   // One dimension at the BinId limit (256 bins): bin indices occupy the
-  // full byte range, so any packing arithmetic that loses high bits or
-  // sign-extends 0x80.. bytes shows up as count drift.
+  // full byte range, so any byte compare that sign-extends 0x80.. bytes
+  // or any bitset id that loses high bins shows up as count drift.
   IcgRandom rng(104);
   GridSet grids;
   grids.dims.push_back(compute_uniform_grid(0, 0.0f, 100.0f, 256, 0.01, 1000));
@@ -157,9 +151,9 @@ TEST(PopulateOracle, FullBinIdRangeIn256BinDimension) {
 }
 
 TEST(PopulateOracle, DuplicateBinRowsAcrossSubspaces) {
-  // The same bin tuple planted in several distinct dimension sets: packed
-  // keys collide numerically across subspaces, so any state shared between
-  // subspace sweeps would miscount.
+  // The same bin tuple planted in several distinct dimension sets: their
+  // bin bytes collide across subspaces, so a bitset keyed on the bin alone
+  // would miscount.
   IcgRandom rng(105);
   const GridSet grids = uniform_grids(8, 10);
   UnitStore cdus(3);
@@ -178,8 +172,7 @@ TEST(PopulateOracle, DuplicateBinRowsAcrossSubspaces) {
 TEST(PopulateOracle, DuplicateCandidatesWithinASubspace) {
   // Identical CDUs repeated in one subspace (dedup normally removes these;
   // the counting contract must hold regardless): every duplicate row gets
-  // the full count, in every kernel — including the hash table, whose
-  // slots point at the first row of an equal run.
+  // the full count from either row source.
   IcgRandom rng(106);
   const GridSet grids = uniform_grids(5, 10);
   UnitStore cdus(2);
@@ -205,8 +198,8 @@ TEST(PopulateOracle, DuplicateCandidatesWithinASubspace) {
 }
 
 TEST(PopulateOracle, RecordsOutsideEveryCandidate) {
-  // All CDUs sit in bins the records never touch: every kernel must report
-  // all-zero counts (the lookup misses on every record).
+  // All CDUs sit in bins the records never touch: both row sources must
+  // report all-zero counts (every AND comes out empty).
   const GridSet grids = uniform_grids(4, 10);
   UnitStore cdus(2);
   for (DimId a = 0; a < 3; ++a) {
@@ -224,13 +217,13 @@ TEST(PopulateOracle, RecordsOutsideEveryCandidate) {
 }
 
 TEST(PopulateOracle, HashTableKeepsHeadroomAtPowerOfTwoMemberCounts) {
-  // Regression guard for the open-addressing table sizing: at exactly 64
-  // CDUs in one subspace — a power-of-two member count — a `next_pow2(n)`
+  // Regression guard for the open-addressing sizing the transaction
+  // table's index uses: at a power-of-two member count, a `next_pow2(n)`
   // capacity would be 64 slots for 64 keys (load factor 1.0), degrading
   // probe chains toward O(n) and, with the final empty slot filled, turning
   // the miss-probe loop into an infinite scan.  hash_table_capacity must
-  // keep >= 2x headroom everywhere, and the forced-hash kernel must agree
-  // with the oracle at that exact count.
+  // keep >= 2x headroom everywhere, and a table sweep over 64 CDUs in one
+  // subspace must agree with the oracle.
   EXPECT_EQ(hash_table_capacity(0), 4u);
   EXPECT_EQ(hash_table_capacity(1), 4u);
   EXPECT_EQ(hash_table_capacity(63), 128u);
@@ -255,10 +248,9 @@ TEST(PopulateOracle, HashTableKeepsHeadroomAtPowerOfTwoMemberCounts) {
   const std::vector<Value> rows = random_rows(rng, 1500, 6);
   const std::vector<Count> expected =
       oracle_counts(grids, cdus, rows.data(), 1500);
-  const PopulateConfig force_hash{2048, 1};
-  UnitPopulator pop(grids, cdus, force_hash);
+  UnitPopulator pop(grids, cdus);
   pop.accumulate(table_of(grids, cdus, rows));
-  ASSERT_EQ(pop.kernel_stats().packed_hash_subspaces, 1u);
+  ASSERT_EQ(pop.num_subspaces(), 1u);
   ASSERT_EQ(pop.counts().size(), expected.size());
   for (std::size_t u = 0; u < expected.size(); ++u) {
     ASSERT_EQ(pop.counts()[u], expected[u]) << "cdu " << cdus.to_string(u);
@@ -275,7 +267,7 @@ TEST(PopulateOracle, BitmapKernelSupportsInterleavedCountsAndAccumulate) {
   const UnitStore cdus = random_cdus(rng, grids, 3, 70);
   const std::vector<Value> rows = random_rows(rng, 1000, 7);
 
-  const PopulateConfig cfg{256, 48};
+  const PopulateConfig cfg{256};
   UnitPopulator pop(grids, cdus, cfg);
   std::size_t done = 0;
   for (const std::size_t chunk : {37u, 1u, 64u, 200u, 500u, 198u}) {
@@ -314,7 +306,7 @@ TEST(PopulateOracle, BitmapSweepAcrossBlockSizesWithSeedsInterleaved) {
     for (std::size_t u = 0; u < expected.size(); ++u) expected[u] += 3 * seed[u];
 
     for (const std::size_t block : {1u, 63u, 64u, 65u, 2048u}) {
-      UnitPopulator pop(grids, cdus, {block, 48});
+      UnitPopulator pop(grids, cdus, {block});
       std::size_t done = 0;
       for (const std::size_t chunk : {700u, 129u, 1671u}) {
         pop.accumulate(rows.data() + done * 8, chunk);
@@ -328,14 +320,15 @@ TEST(PopulateOracle, BitmapSweepAcrossBlockSizesWithSeedsInterleaved) {
   }
 }
 
-TEST(PopulateOracle, TableSweepsAtThePackedKeyBoundary) {
-  // A table is the only row source that reaches the lookups: k = 8 sweeps
-  // it through the packed keys (sorted and hash), k = 9 through the memcmp
-  // rows.  Both must match the oracle, and the stats name the sweep.
+TEST(PopulateOracle, TableSweepMatchesOracleOnWideUnits) {
+  // The table sweep's weighted reduction over units of 8, 9 and 12 dims
+  // (k = 12 puts every CDU in one subspace) under every block size: it
+  // must match the oracle, and its stats count every subspace and the
+  // words it ANDed.
   IcgRandom rng(111);
   const GridSet grids = uniform_grids(12, 2);
   const std::vector<Value> rows = random_rows(rng, 3000, 12);
-  for (const std::size_t k : {8u, 9u}) {
+  for (const std::size_t k : {8u, 9u, 12u}) {
     const UnitStore cdus = random_cdus(rng, grids, k, 200);
     const TransactionTable table = table_of(grids, cdus, rows);
     ASSERT_FALSE(table.abandoned());
@@ -345,19 +338,15 @@ TEST(PopulateOracle, TableSweepsAtThePackedKeyBoundary) {
       UnitPopulator pop(grids, cdus, cfg);
       pop.accumulate(table);
       EXPECT_EQ(pop.counts(), expected)
-          << "k=" << k << " block=" << cfg.block_records
-          << " hash_min=" << cfg.hash_min_cdus;
+          << "k=" << k << " block=" << cfg.block_records;
       const PopulateKernelStats& st = pop.kernel_stats();
-      EXPECT_EQ(st.bitmap_subspaces, 0u);
-      EXPECT_EQ(st.bitmap_words_anded, 0u);
-      if (k == 8) {
-        EXPECT_EQ(st.memcmp_subspaces, 0u);
-        EXPECT_EQ(st.packed_sorted_subspaces + st.packed_hash_subspaces,
-                  pop.num_subspaces());
-      } else {
-        EXPECT_EQ(st.memcmp_subspaces, pop.num_subspaces());
-        EXPECT_EQ(st.packed_sorted_subspaces + st.packed_hash_subspaces, 0u);
+      EXPECT_EQ(st.bitmap_subspaces, pop.num_subspaces());
+      std::size_t words = 0;
+      for (std::size_t at = 0; at < table.rows(); at += cfg.block_records) {
+        words += (std::min(cfg.block_records, table.rows() - at) + 63) / 64;
       }
+      EXPECT_EQ(st.bitmap_words_anded, cdus.size() * k * words)
+          << "k=" << k << " block=" << cfg.block_records;
     }
   }
 }
@@ -399,61 +388,43 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PopulateOracleDatagen,
 
 TEST(PopulateBudget, AuxiliaryBytesCountEveryLookupVector) {
   // --max-cdu-bytes budgets auxiliary_bytes(), so it must cover every
-  // per-CDU vector either sweep allocates, and it must follow from the CDU
-  // store alone.  Recompute it: per subspace of m members, the sorted-row
-  // -> CDU index (4 B each) and the bitmap ids (4k B), plus the packed keys
-  // (8 B) and hash slots (4 B per slot) for k <= 8 or the memcmp byte rows
-  // (k B) for k > 8; plus the bitmap block — per (dim, bin) pair some CDU
-  // uses, one bitset of block_records bits rounded up to whole words and its
-  // 1-byte bin id, and per dim some CDU uses, one byte column of
+  // per-CDU vector the sweep allocates, and it must follow from the CDU
+  // store alone.  Recompute it: per CDU, its sweep position (4 B) and its
+  // k bitmap ids (4k B); plus the bitmap block — per (dim, bin) pair some
+  // CDU uses, one bitset of block_records bits rounded up to whole words
+  // and its 1-byte bin id, and per dim some CDU uses, one byte column of
   // block_records records rounded up to whole words and one locator cell
   // table of kLocatorCells bytes.
   IcgRandom rng(301);
-  const std::size_t hash_min = 12;
   for (const std::size_t k : {3u, 9u}) {
-    const std::size_t d = k == 3 ? 7 : 10;  // 35 and 10 subspaces
+    const std::size_t d = k == 3 ? 7 : 10;
     const GridSet grids = uniform_grids(d, 9);
     const UnitStore cdus = random_cdus(rng, grids, k, 400);
-    std::map<std::vector<DimId>, std::size_t> members;
     std::set<std::pair<DimId, BinId>> items;
     for (std::size_t u = 0; u < cdus.size(); ++u) {
-      const auto d = cdus.dims(u);
-      ++members[std::vector<DimId>(d.begin(), d.end())];
-      for (std::size_t i = 0; i < k; ++i) items.insert({d[i], cdus.bins(u)[i]});
-    }
-
-    std::size_t lookups = 0;
-    bool saw_hash = false;
-    bool saw_sorted = false;
-    for (const auto& [dims, m] : members) {
-      lookups += 4 * m + 4 * k * m;
-      if (k > kPackedKeyMaxDims) {
-        lookups += k * m;
-      } else {
-        lookups += 8 * m;
-        if (m >= hash_min) {
-          lookups += 4 * hash_table_capacity(m);
-          saw_hash = true;
-        } else {
-          saw_sorted = true;
-        }
+      for (std::size_t i = 0; i < k; ++i) {
+        items.insert({cdus.dims(u)[i], cdus.bins(u)[i]});
       }
     }
-    if (k == 3) ASSERT_TRUE(saw_hash && saw_sorted);
+    const std::size_t per_cdu = cdus.size() * (4 + 4 * k);
 
     std::set<DimId> used_dims;
     for (const auto& item : items) used_dims.insert(item.first);
     for (const std::size_t block : {1u, 64u, 65u, 2048u}) {
-      UnitPopulator pop(grids, cdus, {block, hash_min});
+      UnitPopulator pop(grids, cdus, {block});
       const std::size_t words = (block + 63) / 64;
       const std::size_t bitsets =
           items.size() * (words * 8 + 1) +
           used_dims.size() * (words * 64 + kLocatorCells);
-      EXPECT_EQ(pop.auxiliary_bytes(), lookups + bitsets)
+      EXPECT_EQ(pop.auxiliary_bytes(), per_cdu + bitsets)
           << "k=" << k << " block=" << block;
-      // Counting rows does not change it: nothing outgrows a block.
-      pop.accumulate(random_rows(rng, 300, d).data(), 300);
-      EXPECT_EQ(pop.auxiliary_bytes(), lookups + bitsets);
+      // Counting rows or a table does not change it: nothing outgrows a
+      // block.
+      const std::vector<Value> rows = random_rows(rng, 300, d);
+      pop.accumulate(rows.data(), 300);
+      EXPECT_EQ(pop.auxiliary_bytes(), per_cdu + bitsets);
+      pop.accumulate(table_of(grids, cdus, rows));
+      EXPECT_EQ(pop.auxiliary_bytes(), per_cdu + bitsets);
     }
   }
 }

@@ -116,11 +116,9 @@ UnitStore units_over_items(IcgRandom& rng, const UnitStore& base,
   return out;
 }
 
-/// Block sizes straddling the table's row count, with the hash lookup
-/// forced on and off (k > 8 stores sweep the memcmp rows regardless).
+/// Block sizes straddling the table's row count and the 64-bit word.
 std::vector<PopulateConfig> table_configs() {
-  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
-  return {{2048, 48}, {1, 48}, {3, 1}, {64, kNever}, {7, 48}};
+  return {{2048}, {1}, {3}, {64}, {7}};
 }
 
 void expect_table_counts_match_oracle(const GridSet& grids,
@@ -134,8 +132,7 @@ void expect_table_counts_match_oracle(const GridSet& grids,
     UnitPopulator pop(grids, cdus, cfg);
     pop.accumulate(table);
     ASSERT_EQ(pop.counts(), expected)
-        << "k=" << cdus.k() << " block=" << cfg.block_records
-        << " hash_min=" << cfg.hash_min_cdus;
+        << "k=" << cdus.k() << " block=" << cfg.block_records;
   }
 }
 
@@ -164,8 +161,8 @@ TEST(TransactionTable, SweepMatchesTheOracleAtTheBuildLevelAndAbove) {
   const TransactionTable t = build(grids, level2, rows);
   ASSERT_FALSE(t.abandoned());
   expect_table_counts_match_oracle(grids, level2, t, rows);
-  // Later levels use subsets of the build level's items; k = 9 is past the
-  // packed-key limit, so the memcmp rows sweep the table too.
+  // Later levels use subsets of the build level's items, up to units of
+  // 9 dims.
   for (const std::size_t k : {3u, 5u, 9u}) {
     expect_table_counts_match_oracle(
         grids, units_over_items(rng, level2, k, 80), t, rows);
@@ -301,10 +298,10 @@ TEST(TransactionTable, CoversOnlyTheItemsItWasKeyedOn) {
   EXPECT_FALSE(t.covers(other_dim));
 }
 
-TEST(TransactionTable, RowSourcePicksTheSweep) {
-  // Records count through the bitmap sweep, a table through the lookups —
-  // the packed keys up to k = 8, the memcmp rows past it — and a populator
-  // fed both sources adds them up.
+TEST(TransactionTable, BothRowSourcesShareTheSweep) {
+  // Records and a table count through the same sweep — its stats move
+  // alike for either source — and a populator fed both sources adds them
+  // up.
   const GridSet grids = uniform_grids(10, 3);
   IcgRandom rng(207);
   const std::vector<Value> rows = random_rows(rng, 400, 10);
@@ -314,17 +311,15 @@ TEST(TransactionTable, RowSourcePicksTheSweep) {
     UnitPopulator pop(grids, cdus);
     pop.accumulate(t);
     const PopulateKernelStats after_table = pop.kernel_stats();
-    EXPECT_EQ(after_table.bitmap_subspaces, 0u);
-    EXPECT_EQ(after_table.bitmap_bytes, 0u);
-    EXPECT_EQ(after_table.memcmp_subspaces, k > 8 ? pop.num_subspaces() : 0u);
-    EXPECT_EQ(after_table.packed_sorted_subspaces +
-                  after_table.packed_hash_subspaces,
-              k > 8 ? 0u : pop.num_subspaces());
+    EXPECT_EQ(after_table.bitmap_subspaces, pop.num_subspaces());
+    EXPECT_GT(after_table.bitmap_bytes, 0u);
+    EXPECT_GT(after_table.bitmap_words_anded, 0u);
 
     pop.accumulate(rows.data(), 400);
     EXPECT_EQ(pop.kernel_stats().bitmap_subspaces, pop.num_subspaces());
-    EXPECT_GT(pop.kernel_stats().bitmap_bytes, 0u);
-    EXPECT_GT(pop.kernel_stats().bitmap_words_anded, 0u);
+    EXPECT_EQ(pop.kernel_stats().bitmap_bytes, after_table.bitmap_bytes);
+    EXPECT_GT(pop.kernel_stats().bitmap_words_anded,
+              after_table.bitmap_words_anded);
     std::vector<Count> twice = oracle_counts(grids, cdus, rows.data(), 400);
     for (Count& c : twice) c *= 2;
     EXPECT_EQ(pop.counts(), twice) << "k=" << k;
@@ -707,7 +702,12 @@ TEST(TransactionTableDriver, KillAndResumeAtEveryLevelRebuildsTheTable) {
         // Restored levels were not swept by this run.
         EXPECT_EQ(t.populate_source, t.level >= level ? kPopulateSourceTable
                                                        : kPopulateSourceRecords);
-        if (t.level < level) EXPECT_EQ(t.populate_rows, 0u);
+        if (t.level < level) {
+          EXPECT_EQ(t.populate_rows, 0u);
+          EXPECT_EQ(t.populate_seconds, 0.0);
+        } else {
+          EXPECT_GT(t.populate_seconds, 0.0);
+        }
       }
     } else {
       expect_consistent_ledger(got, p);

@@ -23,7 +23,8 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +33,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "clique/clique.hpp"
@@ -56,6 +58,28 @@ using namespace mafia;
 
 /// Flags that take no value (presence is the value).
 const std::set<std::string> kBooleanFlags = {"resume", "stats"};
+
+/// Numeric flags whose value may be negative; every other numeric flag is
+/// a count, size, seed or non-negative parameter.
+const std::set<std::string> kSignedFlags = {"domain-lo", "domain-hi"};
+
+/// Strict number parse: the whole token must be one finite number of type
+/// T, in range, with no sign unless `allow_negative`.  A bare strtol/strtod
+/// would take "2x" as 2 and "abc" as 0, and a negative size would wrap to a
+/// huge one.
+template <class T>
+bool parse_number(const std::string& tok, bool allow_negative, T* out) {
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (tok.empty() || ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  if (!allow_negative && tok[0] == '-') return false;
+  *out = v;
+  return true;
+}
 
 /// Minimal --flag value parser: flags() holds every "--name value" pair;
 /// repeated flags accumulate.  Flags in kBooleanFlags consume no value.
@@ -86,13 +110,14 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second.back();
   }
+  /// Numeric flag values parse strictly (parse_number): a malformed or
+  /// negative value is a Usage error naming the flag, not a silent prefix
+  /// or wrapped size.  Only kSignedFlags may be negative.
   [[nodiscard]] long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.back().c_str(), nullptr, 10);
+    return get_number(key, fallback);
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.back().c_str(), nullptr);
+    return get_number(key, fallback);
   }
   [[nodiscard]] std::vector<std::string> all(const std::string& key) const {
     const auto it = values_.find(key);
@@ -110,60 +135,52 @@ class Args {
   }
 
  private:
+  template <class T>
+  [[nodiscard]] T get_number(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& tok = it->second.back();
+    const bool is_signed = kSignedFlags.count(key) > 0;
+    T v{};
+    require(parse_number(tok, is_signed, &v),
+            "--" + key + ": invalid value '" + tok + "' (expected " +
+                (is_signed ? "a" : "a non-negative") +
+                (std::is_integral_v<T> ? " integer)" : " number)"));
+    return v;
+  }
+
   std::map<std::string, std::vector<std::string>> values_;
 };
 
 /// Parses "1,4,7:30:45" (dims:lo:hi) into a ClusterSpec cube.
 ClusterSpec parse_cluster(const std::string& text) {
+  const std::string syntax = "cluster spec must be dims:lo:hi, e.g. 1,4,7:30:45";
   const auto colon1 = text.find(':');
   const auto colon2 = text.find(':', colon1 + 1);
-  require(colon1 != std::string::npos && colon2 != std::string::npos,
-          "cluster spec must be dims:lo:hi, e.g. 1,4,7:30:45");
+  require(colon1 != std::string::npos && colon2 != std::string::npos, syntax);
   std::vector<DimId> dims;
   std::string dims_text = text.substr(0, colon1);
   std::size_t at = 0;
-  while (at < dims_text.size()) {
+  while (true) {
     const auto comma = dims_text.find(',', at);
-    const std::string tok = dims_text.substr(
-        at, comma == std::string::npos ? std::string::npos : comma - at);
-    dims.push_back(static_cast<DimId>(std::strtoul(tok.c_str(), nullptr, 10)));
+    DimId dim = 0;
+    require(parse_number(dims_text.substr(at, comma == std::string::npos
+                                                  ? std::string::npos
+                                                  : comma - at),
+                         false, &dim),
+            syntax + " (bad dimension in '" + dims_text + "')");
+    dims.push_back(dim);
     if (comma == std::string::npos) break;
     at = comma + 1;
   }
-  const auto lo = static_cast<Value>(
-      std::strtod(text.substr(colon1 + 1, colon2 - colon1 - 1).c_str(), nullptr));
-  const auto hi = static_cast<Value>(
-      std::strtod(text.substr(colon2 + 1).c_str(), nullptr));
+  Value lo = 0;
+  Value hi = 0;
+  require(parse_number(text.substr(colon1 + 1, colon2 - colon1 - 1), true, &lo) &&
+              parse_number(text.substr(colon2 + 1), true, &hi),
+          syntax + " (bad bound in '" + text + "')");
   const std::size_t k = dims.size();
   return ClusterSpec::box(std::move(dims), std::vector<Value>(k, lo),
                           std::vector<Value>(k, hi));
-}
-
-/// Strict non-negative integer parse: the whole token must be digits.
-/// "abc" must be a loud Usage error, not a silent 0 (what a bare strtol
-/// would yield — and a fault spec that silently targets rank 0 at op 0 is
-/// a test that tests nothing).
-bool parse_nonneg(const std::string& tok, std::uint64_t* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || tok[0] == '-') {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-/// Strict non-negative double parse (same rationale as parse_nonneg).
-bool parse_nonneg_double(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v < 0.0) return false;
-  *out = v;
-  return true;
 }
 
 /// Parses one --inject-fault spec "rank:op" (kill) or "rank:op:seconds"
@@ -184,7 +201,7 @@ void parse_fault_spec(const std::string& text, int ranks,
   const auto c2 = text.find(':', c1 + 1);
 
   std::uint64_t rank_value = 0;
-  require(parse_nonneg(text.substr(0, c1), &rank_value),
+  require(parse_number(text.substr(0, c1), false, &rank_value),
           "--inject-fault: invalid rank '" + text.substr(0, c1) + "' (" +
               syntax + ")");
   const int rank = static_cast<int>(rank_value);
@@ -197,13 +214,13 @@ void parse_fault_spec(const std::string& text, int ranks,
   double delay = 0.0;
   const bool is_delay = c2 != std::string::npos;
   if (is_delay) {
-    require(parse_nonneg_double(text.substr(c2 + 1), &delay),
+    require(parse_number(text.substr(c2 + 1), false, &delay),
             "--inject-fault: invalid delay '" + text.substr(c2 + 1) +
                 "' (must be non-negative seconds)");
   }
 
   std::uint64_t op_index = 0;
-  if (parse_nonneg(op_text, &op_index)) {
+  if (parse_number(op_text, false, &op_index)) {
     if (is_delay) {
       plan.delay(rank, op_index, delay);
     } else {
@@ -217,7 +234,7 @@ void parse_fault_spec(const std::string& text, int ranks,
   const std::string name = op_text.substr(0, at);
   std::uint64_t occurrence = 0;
   if (at != std::string::npos) {
-    require(parse_nonneg(op_text.substr(at + 1), &occurrence),
+    require(parse_number(op_text.substr(at + 1), false, &occurrence),
             "--inject-fault: invalid occurrence '" + op_text.substr(at + 1) +
                 "' (must be a non-negative integer)");
   }
@@ -288,7 +305,7 @@ std::unique_ptr<const DataSource> open_data(const std::string& path) {
 /// accepts them.
 const std::set<std::string> kRunFlags = {
     "alpha", "beta", "fine-bins", "window-cells", "noise-sigmas", "chunk",
-    "min-dims", "populate-block", "join-kernel", "domain-lo", "domain-hi",
+    "min-dims", "join-kernel", "domain-lo", "domain-hi",
     "checkpoint-dir", "resume", "max-cdu-bytes", "mp-backend", "mp-deadline",
     "mp-shm-slot", "inject-fault", "ranks"};
 
@@ -306,8 +323,6 @@ MafiaOptions options_from_args(const Args& args) {
       args.get_int("chunk", static_cast<long>(o.chunk_records)));
   o.min_cluster_dims = static_cast<std::size_t>(
       args.get_int("min-dims", static_cast<long>(o.min_cluster_dims)));
-  o.populate.block_records = static_cast<std::size_t>(args.get_int(
-      "populate-block", static_cast<long>(o.populate.block_records)));
   if (args.has("join-kernel")) {
     const std::string kernel = args.get("join-kernel");
     if (kernel == "bucketed") {
@@ -745,7 +760,7 @@ void usage() {
       "           [--alpha A] [--beta B] [--fine-bins N] [--window-cells W]\n"
       "           [--noise-sigmas S] [--min-dims K] [--chunk B]\n"
       "           [--domain-lo L --domain-hi H] [--xi N --tau F]\n"
-      "           [--populate-block N] [--join-kernel bucketed|pairwise]\n"
+      "           [--join-kernel bucketed|pairwise]\n"
       "           [--save model.txt] [--report-json report.json]\n"
       "           [--checkpoint-dir DIR] [--resume] [--max-cdu-bytes N]\n"
       "           [--mp-backend threads|process] [--mp-deadline SECONDS]\n"
